@@ -17,7 +17,10 @@
 #include "core/workload.h"
 #include "data/synthetic.h"
 #include "fault/chip.h"
+#include "nn/grouped.h"
+#include "nn/models.h"
 #include "nn/norm.h"
+#include "tensor/init.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -216,6 +219,84 @@ void run_matrix(train_case& c, const epoch_allocation& alloc, double constraint,
         const scoped_intra_op_threads budget(threads);
         for (const std::size_t k : {1u, 2u, 8u}) {
             expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, constraint, label);
+        }
+    }
+}
+
+// ---- grouped_train_net vs serial sequential ---------------------------------
+//
+// One forward+backward through the grouped walker must leave every variant
+// exactly where its own sequential::forward/backward leaves a twin clone:
+// output block, input-gradient block, and every parameter gradient, bit for
+// bit. ReLU is its own walker step, so the linear→relu and conv→relu pairs
+// run GEMM, bias pass, and relu separately on both sides.
+
+void expect_walker_matches_serial(const sequential& prototype, const shape_t& sample_shape,
+                                  std::size_t classes, std::size_t k, const char* label) {
+    const std::size_t n = 6;
+    rng gen(500 + k);
+    std::vector<std::unique_ptr<sequential>> serial;
+    std::vector<std::unique_ptr<sequential>> grouped;
+    std::vector<sequential*> grouped_ptrs;
+    for (std::size_t g = 0; g < k; ++g) {
+        // Distinct weights AND biases per variant, a random 20% zeroed.
+        serial.push_back(clone_model(prototype));
+        for (parameter* p : serial.back()->parameters()) {
+            uniform_init(p->value, -0.5f, 0.5f, gen);
+            for (std::size_t i = 0; i < p->value.numel(); ++i) {
+                if (gen.uniform() < 0.2) { p->value.raw()[i] = 0.0f; }
+            }
+        }
+        grouped.push_back(clone_model(*serial.back()));
+        grouped_ptrs.push_back(grouped.back().get());
+    }
+    shape_t stacked_shape = sample_shape;
+    stacked_shape.insert(stacked_shape.begin(), k * n);
+    tensor x(stacked_shape);
+    uniform_init(x, -1.0f, 1.0f, gen);
+    tensor grad({k * n, classes});
+    uniform_init(grad, -1.0f, 1.0f, gen);
+
+    grouped_train_net net(grouped_ptrs);
+    const tensor out = net.forward(x);
+    const tensor grad_in = net.backward(grad);
+    const std::size_t in_block = x.numel() / k;
+    const std::size_t out_block = n * classes;
+    for (std::size_t g = 0; g < k; ++g) {
+        shape_t block_shape = stacked_shape;
+        block_shape[0] = n;
+        tensor xg(block_shape);
+        std::memcpy(xg.raw(), x.raw() + g * in_block, in_block * sizeof(float));
+        tensor gg({n, classes});
+        std::memcpy(gg.raw(), grad.raw() + g * out_block, out_block * sizeof(float));
+        const tensor out_g = serial[g]->forward(xg);
+        const tensor grad_in_g = serial[g]->backward(gg);
+        EXPECT_EQ(0, std::memcmp(out_g.raw(), out.raw() + g * out_block,
+                                 out_block * sizeof(float)))
+            << label << " K=" << k << " output of variant " << g;
+        EXPECT_EQ(0, std::memcmp(grad_in_g.raw(), grad_in.raw() + g * in_block,
+                                 in_block * sizeof(float)))
+            << label << " K=" << k << " input grad of variant " << g;
+        const std::vector<parameter*> sp = serial[g]->parameters();
+        const std::vector<parameter*> gp = grouped[g]->parameters();
+        ASSERT_EQ(sp.size(), gp.size());
+        for (std::size_t i = 0; i < sp.size(); ++i) {
+            EXPECT_EQ(0, std::memcmp(sp[i]->grad.raw(), gp[i]->grad.raw(),
+                                     sp[i]->grad.numel() * sizeof(float)))
+                << label << " K=" << k << " param grad " << i << " of variant " << g;
+        }
+    }
+}
+
+TEST(GroupedTrainNet, WalkerMatchesSerialSequentialAtK1AndK8) {
+    rng gen(61);
+    const std::unique_ptr<sequential> mlp = make_mlp({12, 32, 16, 4}, gen);
+    const std::unique_ptr<sequential> cnn = make_tiny_cnn({1, 8, 8}, 3, gen, 4);
+    for (const std::size_t threads : {1u, 4u}) {
+        const scoped_intra_op_threads budget(threads);
+        for (const std::size_t k : {1u, 8u}) {
+            expect_walker_matches_serial(*mlp, {12}, 4, k, "mlp");
+            expect_walker_matches_serial(*cnn, {1, 8, 8}, 3, k, "cnn");
         }
     }
 }

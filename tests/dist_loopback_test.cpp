@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,9 +127,20 @@ workload* DistFixture::shared_ = nullptr;
 TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
     for (const std::size_t worker_count : {1u, 2u, 4u}) {
         dist::coordinator_config cc;
-        cc.cells_per_lease = 1;  // 4 units — real distribution at 4 workers
+        cc.cells_per_lease = 1;      // 4 units — real distribution at 4 workers
+        cc.lease_timeout_ms = 60000;  // the hostage's lease must outlive the admissions
         dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
         coord.start();
+
+        // A lease hostage takes one unit and sits on it silently, so the job
+        // cannot complete before every configured worker has been admitted
+        // (fast workers could otherwise drain all units before the last
+        // worker's hello). Dropping it re-queues its unit to the workers.
+        auto hostage = std::make_unique<raw_client>(coord.port());
+        hostage->send(dist::make_hello(resilience_fingerprint(small_config()), "hostage"));
+        EXPECT_EQ(dist::message_type(hostage->read()), "welcome");
+        hostage->send(dist::make_request_work());
+        EXPECT_EQ(dist::message_type(hostage->read()), "work");
 
         std::vector<dist::worker_config> configs;
         for (std::size_t i = 0; i < worker_count; ++i) {
@@ -137,6 +149,10 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         }
         std::vector<dist::worker_report> reports;
         std::thread workers([&] { reports = run_workers(configs); });
+        EXPECT_TRUE(eventually(
+            [&] { return coord.stats().workers_admitted == worker_count + 1; }))
+            << worker_count << " workers were not all admitted";
+        hostage.reset();
         const resilience_table table = coord.wait_table();
         workers.join();
 
@@ -149,9 +165,10 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         }
         EXPECT_EQ(total_cells, 4u) << worker_count << " workers";
         const dist::coordinator_stats stats = coord.stats();
-        EXPECT_EQ(stats.workers_admitted, worker_count);
+        EXPECT_EQ(stats.workers_admitted, worker_count + 1);  // + the hostage
         EXPECT_EQ(stats.workers_rejected, 0u);
         EXPECT_GE(stats.leases_granted, 4u);
+        EXPECT_GE(stats.leases_reassigned, 1u);  // the hostage's unit
         EXPECT_EQ(stats.duplicate_results, 0u);
     }
 }

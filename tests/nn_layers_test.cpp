@@ -4,15 +4,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-
 #include <cstring>
+#include <fstream>
+#include <limits>
 
 #include "nn/loss.h"
 #include "nn/metrics.h"
 #include "nn/models.h"
 #include "nn/norm.h"
-#include "nn/schedule.h"
 #include "nn/serialize.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -58,48 +57,122 @@ TEST(Linear, BackwardBeforeForwardThrows) {
     EXPECT_THROW(fc.backward(tensor({1, 2})), error);
 }
 
-TEST(Linear, FusedForwardBitwiseMatchesUnfusedAcrossThreadBudgets) {
-    rng gen(41);
-    linear fc(96, 64, gen);
-    const tensor x = random_tensor({32, 96}, gen);
-    set_intra_op_threads(1);
-    tensor unfused;
-    {
-        const scoped_layer_fusion off(false);
-        unfused = fc.forward(x);
+// ---- affine layer → relu with NaN/Inf pre-activations -----------------------
+//
+// Each forward is the affine op (GEMM, then the bias pass) followed by a
+// separate relu layer that caches its input. relu maps NaN pre-activations
+// to 0 but keeps their gradient (relu_backward drops it only where z <= 0),
+// so poison must reach the parameter gradients — identically at every
+// thread budget.
+
+struct pass_result {
+    tensor out;
+    tensor grad_in;
+    std::vector<tensor> param_grads;
+};
+
+pass_result forward_backward(sequential& model, const tensor& x, const tensor& grad) {
+    zero_all_grads(model.parameters());
+    pass_result r;
+    r.out = model.forward(x);
+    r.grad_in = model.backward(grad);
+    for (parameter* p : model.parameters()) { r.param_grads.push_back(p->grad); }
+    return r;
+}
+
+bool has_nan(const tensor& t) {
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        if (std::isnan(t.raw()[i])) { return true; }
     }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const scoped_layer_fusion on(true);
-        EXPECT_TRUE(bitwise_equal(unfused, fc.forward(x))) << "@" << threads;
-        std::vector<std::uint8_t> keep;
-        EXPECT_TRUE(bitwise_equal(relu(unfused), fc.forward_fused_relu(x, keep)))
-            << "fused relu @" << threads;
-        ASSERT_EQ(keep.size(), unfused.numel());
-        for (std::size_t i = 0; i < keep.size(); ++i) {
-            ASSERT_EQ(unfused.raw()[i] > 0.0f ? 1 : 0, keep[i]) << "keep " << i;
-        }
+    return false;
+}
+
+void expect_same_pass(const pass_result& ref, const pass_result& got, std::size_t threads) {
+    EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "output @" << threads;
+    EXPECT_TRUE(bitwise_equal(ref.grad_in, got.grad_in)) << "input grad @" << threads;
+    ASSERT_EQ(ref.param_grads.size(), got.param_grads.size());
+    for (std::size_t i = 0; i < ref.param_grads.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(ref.param_grads[i], got.param_grads[i]))
+            << "param grad " << i << " @" << threads;
     }
 }
 
-TEST(Conv2dLayer, FusedForwardBitwiseMatchesUnfusedAcrossThreadBudgets) {
-    rng gen(43);
-    conv2d_layer conv(conv2d_spec{4, 8, 3, 3, 1, 1}, gen);
-    const tensor x = random_tensor({6, 4, 10, 10}, gen);
+TEST(AffineRelu, LinearReluPropagatesNanInfForwardAndBackward) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    rng gen(41);
+    sequential model;
+    linear& fc = model.emplace<linear>(80, 37, gen);
+    model.emplace<relu_layer>();
+    tensor x = random_tensor({33, 80}, gen);
+    x.raw()[5 * 80 + 7] = nan;
+    x.raw()[12 * 80 + 3] = inf;
+    fc.weight().value.raw()[20 * 80 + 9] = -inf;
+    for (std::size_t i = 0; i < 80; ++i) { x.raw()[30 * 80 + i] = 0.0f; }
+    fc.bias().value.raw()[17] = 0.0f;  // pre-activation (30, 17) is exactly 0
+    const tensor grad = random_tensor({33, 37}, gen);
+
     set_intra_op_threads(1);
-    tensor unfused;
-    {
-        const scoped_layer_fusion off(false);
-        unfused = conv.forward(x);
-    }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
+    const tensor pre = matmul_nt_bias(x, fc.weight().value, fc.bias().value);
+    const tensor kept = relu_backward(grad, pre);
+    const pass_result ref = forward_backward(model, x, grad);
+    EXPECT_TRUE(bitwise_equal(relu(pre), ref.out));
+    EXPECT_TRUE(bitwise_equal(matmul(kept, fc.weight().value), ref.grad_in));
+    EXPECT_TRUE(std::isnan(pre.raw()[5 * 37]));
+    EXPECT_EQ(0.0f, ref.out.raw()[5 * 37]);
+    EXPECT_EQ(grad.raw()[5 * 37], kept.raw()[5 * 37]) << "NaN pre-activation keeps gradient";
+    EXPECT_EQ(0.0f, pre.raw()[30 * 37 + 17]);
+    EXPECT_EQ(0.0f, kept.raw()[30 * 37 + 17]) << "z == 0 drops gradient";
+    EXPECT_TRUE(has_nan(ref.param_grads[0])) << "poison never reached dW";
+    for (const std::size_t threads : {2u, 8u}) {
         const scoped_intra_op_threads budget(threads);
-        const scoped_layer_fusion on(true);
-        EXPECT_TRUE(bitwise_equal(unfused, conv.forward(x))) << "@" << threads;
-        std::vector<std::uint8_t> keep;
-        EXPECT_TRUE(bitwise_equal(relu(unfused), conv.forward_fused_relu(x, keep)))
-            << "fused relu @" << threads;
-        ASSERT_EQ(keep.size(), unfused.numel());
+        expect_same_pass(ref, forward_backward(model, x, grad), threads);
+    }
+}
+
+TEST(AffineRelu, ConvReluPropagatesNanInfForwardAndBackward) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    rng gen(43);
+    sequential model;
+    conv2d_layer& conv = model.emplace<conv2d_layer>(conv2d_spec{8, 16, 3, 3, 1, 1}, gen);
+    model.emplace<relu_layer>();
+    tensor x = random_tensor({6, 8, 12, 12}, gen);
+    x.raw()[3 * 8 * 144 + 100] = nan;
+    x.raw()[1 * 8 * 144 + 7] = inf;
+    conv.weight().value.raw()[5] = -inf;
+    const tensor grad = random_tensor({6, 16, 12, 12}, gen);
+
+    set_intra_op_threads(1);
+    const tensor pre =
+        conv2d_forward(x, conv.weight().value, conv.bias().value, conv.spec());
+    const conv2d_grads expected =
+        conv2d_backward(x, conv.weight().value, relu_backward(grad, pre), conv.spec());
+    const pass_result ref = forward_backward(model, x, grad);
+    EXPECT_TRUE(bitwise_equal(relu(pre), ref.out));
+    std::size_t poisoned = 0;
+    const tensor kept = relu_backward(grad, pre);
+    for (std::size_t i = 0; i < pre.numel(); ++i) {
+        if (std::isnan(pre.raw()[i])) {
+            ++poisoned;
+            EXPECT_EQ(0.0f, ref.out.raw()[i]) << i;
+            EXPECT_EQ(grad.raw()[i], kept.raw()[i]) << "NaN pre-activation keeps gradient " << i;
+        }
+    }
+    EXPECT_GT(poisoned, 0u);
+    EXPECT_TRUE(bitwise_equal(expected.grad_input, ref.grad_in));
+    EXPECT_TRUE(bitwise_equal(expected.grad_weight, ref.param_grads[0]));
+    EXPECT_TRUE(bitwise_equal(expected.grad_bias, ref.param_grads[1]));
+    EXPECT_TRUE(has_nan(ref.param_grads[0])) << "poison never reached dW";
+    // The same chain through a tiny lowering budget (one image per chunk).
+    const std::size_t previous = set_conv_lowering_budget_bytes(1);
+    const pass_result chunked = forward_backward(model, x, grad);
+    set_conv_lowering_budget_bytes(previous);
+    EXPECT_TRUE(bitwise_equal(ref.out, chunked.out)) << "chunked output";
+    EXPECT_TRUE(bitwise_equal(ref.grad_in, chunked.grad_in)) << "chunked input grad";
+    for (const std::size_t threads : {2u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        expect_same_pass(ref, forward_backward(model, x, grad), threads);
     }
 }
 
