@@ -95,9 +95,8 @@ void grouped_chip_tuner::check_mapped_finite(std::size_t k, const char* where) {
                     throw grouped_nonfinite_error(
                         std::string("grouped retraining: variant ") + std::to_string(g) +
                         " holds a non-finite mapped weight at " + where +
-                        " — the grouped kernels' padding-row skips are only "
-                        "byte-identical for finite operands; retrain this group "
-                        "serially");
+                        " — divergence is handled by the serial trainer; retrain "
+                        "this group serially");
                 }
             }
         }

@@ -25,9 +25,9 @@
 //   * clones are reseeded per chip (mix_seed(chip.seed, layer)) and wrapped
 //     in fault_state_guard, exactly like the serial tuner.
 //
-// Non-finite divergence is the one thing the grouped path will not follow
-// bit-for-bit (the padding-row skips are only byte-identical for finite
-// operands — see tensor/conv.h), so it FAILS LOUDLY instead of drifting:
+// Non-finite divergence is the one thing the grouped path does not handle
+// itself (the serial trainer stops such a run with hit_nonfinite, and
+// rolls it back under a recover timeline), so it FAILS LOUDLY instead:
 // a non-finite per-variant loss or a non-finite mapped weight at any
 // checkpoint throws grouped_nonfinite_error, the guards restore every
 // clone, and the fleet executor re-runs the whole block serially (counted
@@ -48,9 +48,9 @@
 namespace reduce {
 
 /// Thrown when a grouped training episode meets non-finite state (a
-/// diverging variant) that the grouped kernels cannot reproduce
-/// bit-identically. The thrower's clones are already restored (guards);
-/// callers fall back to the serial per-chip path.
+/// diverging variant), whose handling lives in the serial trainer. The
+/// thrower's clones are already restored (guards); callers fall back to
+/// the serial per-chip path.
 class grouped_nonfinite_error : public std::runtime_error {
 public:
     explicit grouped_nonfinite_error(const std::string& what)

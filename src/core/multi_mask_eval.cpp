@@ -25,18 +25,14 @@ multi_mask_evaluator::multi_mask_evaluator(const sequential& prototype,
     // per-group restore is needed.
     model_->set_training(false);
     mapped_ = collect_mapped_layers(*model_);
-    // The grouped conv lowering skips structurally-zero patch rows, which
-    // is bit-identical to the serial path ONLY for finite weights (an
-    // Inf/NaN weight would have turned those rows' exact-zero products
-    // into NaN — see tensor/conv.h). Verify the assumption once, loudly,
-    // instead of letting a diverged pretrain silently void the
-    // byte-identity contract.
+    // A non-finite pretrained weight means the pretrain diverged; every
+    // fleet accuracy measured from it would be meaningless, so refuse it
+    // once, loudly.
     for (const mapped_layer& layer : mapped_) {
         for (const float v : layer.weight->value.data()) {
             REDUCE_CHECK(std::isfinite(v),
                          "multi_mask_evaluator: pretrained weights contain a non-finite "
-                         "value; grouped evaluation's byte-identity contract requires "
-                         "finite weights — evaluate this model serially");
+                         "value — the pretrain diverged");
         }
     }
 
@@ -199,9 +195,7 @@ std::vector<double> multi_mask_evaluator::evaluate_masked(
                 REDUCE_CHECK(std::isfinite(v),
                              "evaluate_masked: variant " << g << " layer " << l
                                                          << " holds a non-finite weight — "
-                                                            "grouped evaluation requires "
-                                                            "finite weights; evaluate this "
-                                                            "variant serially");
+                                                            "the variant diverged");
             }
         }
     }

@@ -90,8 +90,8 @@ public:
     ///     variants have diverged from; grouped checkpoint evaluation of
     ///     normalizing models belongs to grouped_chip_tuner's walker, which
     ///     slices per-variant BN state;
-    ///   * every supplied weight must be finite (the grouped conv skip
-    ///     contract).
+    ///   * every supplied weight must be finite — a non-finite one means
+    ///     the variant diverged.
     std::vector<double> evaluate_masked(const std::vector<std::vector<tensor>>& masked_weights,
                                         std::size_t groups);
 

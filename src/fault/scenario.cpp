@@ -73,6 +73,7 @@ recovery_mode recovery_mode_from_string(const std::string& name) {
 
 scenario_config parse_scenario(const std::string& spec) {
     scenario_config s;
+    bool has_setting = false;
     std::size_t pos = 0;
     while (pos <= spec.size()) {
         const std::size_t sep = std::min(spec.find(';', pos), spec.size());
@@ -95,6 +96,7 @@ scenario_config parse_scenario(const std::string& spec) {
             } else {
                 throw invalid_argument_error("scenario: unknown setting '" + key + "'");
             }
+            has_setting = true;
             continue;
         }
         if (at == std::string::npos) {
@@ -114,6 +116,10 @@ scenario_config parse_scenario(const std::string& spec) {
                      "scenario: event magnitude must be in [0,1], got " << event.magnitude);
         s.events.push_back(event);
     }
+    // Settings only shape how events replay; without one they would be
+    // dropped from the canonical form (and the fingerprint) unseen.
+    REDUCE_CHECK(!has_setting || !s.events.empty(),
+                 "scenario: settings without any event have no effect: '" << spec << "'");
     std::stable_sort(s.events.begin(), s.events.end(),
                      [](const fault_event& a, const fault_event& b) {
                          return a.epoch < b.epoch;

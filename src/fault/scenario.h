@@ -92,7 +92,8 @@ struct scenario_config {
 /// or a setting `mode=recover|restart`, `rollback=<n>`, `seed=<n>`,
 /// `kinds=bypassed|stuck-zero|random-stuck`. Events are sorted by epoch;
 /// "" parses to the empty scenario. Throws invalid_argument_error on
-/// malformed specs, duplicate event epochs, or non-positive epochs.
+/// malformed specs, settings without any event, duplicate event epochs, or
+/// non-positive epochs.
 scenario_config parse_scenario(const std::string& spec);
 
 /// Canonical text form: events in epoch order, then every setting —

@@ -11,9 +11,8 @@
 //     costs (conv lowering, scatter, allocation, fork/join) are paid once
 //     per group instead of once per chip;
 //   * conv lowering skips structurally-zero padding rows in BOTH directions
-//     (forward activations via gemm_k_subset, backward dX/dW via the
-//     compact drivers in tensor/conv.h) — on 1x1-spatial VGG tails that is
-//     8/9 of the patch rows;
+//     through the same drivers the serial layers use (tensor/conv.h) — on
+//     1x1-spatial VGG tails that is 8/9 of the patch rows;
 //   * every layer — ReLU included — is its own step running the serial
 //     layer's exact per-element operations (GEMM, then the bias pass, then
 //     relu), so the walker matches the serial trainer bit for bit.
@@ -25,11 +24,6 @@
 // (dropout, batch-norm) are NEVER shared: each variant block is sliced out
 // and run through that variant's own layer object, so RNG streams, batch
 // statistics, and running stats advance exactly as they do serially.
-//
-// Finite-operand caveat: the padding-row skips require finite weights
-// (forward) and finite upstream gradients (dW). The grouped trainer
-// enforces both with loud checks (grouped_nonfinite_error → serial
-// fallback); this walker itself does not scan.
 #pragma once
 
 #include <cstdint>

@@ -79,8 +79,7 @@ std::vector<mapped_layer> collect_mapped_layers(sequential& model);
 /// biases, batch-norm parameters, and running statistics come from `model`.
 /// The model must be in eval mode — the pass is inference-only and leaves
 /// no caches a backward() could use. Every variant's block is bit-identical
-/// to model.forward(input) with that variant's masked weights installed,
-/// for finite weights (see the grouped conv notes in tensor/conv.h).
+/// to model.forward(input) with that variant's masked weights installed.
 tensor forward_masked_group(sequential& model, const tensor& input, std::size_t groups,
                             const std::vector<std::vector<tensor>>& masked_weights);
 

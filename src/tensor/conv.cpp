@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -62,12 +64,24 @@ bool conv_fan_out(std::size_t work_elems) {
     return should_fan_out(static_cast<double>(work_elems), k_conv_parallel_min_elems);
 }
 
+/// True when none of the `n` floats at `p` is Inf or NaN. The skip guards
+/// below run on every conv call, so the scan is plain integer and/add/or,
+/// which vectorizes: adding one exponent unit to the exponent bits carries
+/// into bit 31 exactly when they are all ones, i.e. for Inf and NaN.
+bool all_finite(const float* p, std::size_t n) {
+    std::uint32_t carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, p + i, sizeof(bits));
+        carry |= (bits & 0x7f800000u) + 0x00800000u;
+    }
+    return (carry & 0x80000000u) == 0;
+}
+
 /// Scatters a lowered chunk output [out_c, nb*plane] (row stride
 /// `src_stride`) back to [image, out_c, plane] layout starting at image
-/// `img0` of `out_ptr`, adding the optional bias — shared by the serial
-/// forward and the grouped entry points so the layout/bias law lives once.
-/// Output channels write disjoint destinations, so the parallel split is
-/// trivially bit-identical.
+/// `img0` of `out_ptr`, adding the optional bias. Output channels write
+/// disjoint destinations, so the parallel split is trivially bit-identical.
 void scatter_lowered_output(const float* src, std::size_t src_stride, std::size_t nb,
                             std::size_t plane, std::size_t out_c, const tensor& bias,
                             float* out_ptr, std::size_t img0) {
@@ -127,6 +141,13 @@ void lower_patch_row(const float* input, std::size_t batch, std::size_t in_h,
     }
 }
 
+/// Every patch row, ascending: the row list of the full lowering.
+std::vector<std::size_t> all_patch_rows(const conv2d_spec& spec) {
+    std::vector<std::size_t> rows(spec.patch_size());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    return rows;
+}
+
 }  // namespace
 
 std::size_t set_conv_lowering_budget_bytes(std::size_t bytes) {
@@ -140,72 +161,14 @@ std::size_t conv_lowering_budget_bytes() {
 
 void im2col_batch(const float* input, std::size_t batch, std::size_t in_h, std::size_t in_w,
                   const conv2d_spec& spec, float* dst) {
-    const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
-    const std::size_t patch = spec.patch_size();
-    const auto lower_rows = [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            lower_patch_row(input, batch, in_h, in_w, spec, r, dst + r * total_cols);
-        }
-    };
-    // Patch rows write disjoint destination rows and read the input
-    // immutably — any partition is bit-identical to the serial loop.
-    if (conv_fan_out(patch * total_cols) && patch > 1) {
-        parallel_for(patch, lower_rows);
-    } else {
-        lower_rows(0, patch);
-    }
+    const std::vector<std::size_t> rows = all_patch_rows(spec);
+    im2col_batch_rows(input, batch, in_h, in_w, spec, rows.data(), rows.size(), dst);
 }
 
 void col2im_batch(const float* columns, std::size_t batch, std::size_t in_h, std::size_t in_w,
                   const conv2d_spec& spec, float* dst) {
-    const std::size_t oh = spec.out_h(in_h);
-    const std::size_t ow = spec.out_w(in_w);
-    const std::size_t out_cols = oh * ow;
-    const std::size_t total_cols = batch * out_cols;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    // Patch rows of different kernel taps accumulate onto OVERLAPPING input
-    // pixels, so the parallel split is by IMAGE: every destination pixel's
-    // accumulation chain stays on one thread in ascending patch-row order —
-    // the exact per-pixel chain of the serial loop (which interleaves
-    // images but visits each pixel's taps in the same order).
-    const auto scatter_images = [&](std::size_t n0, std::size_t n1) {
-        std::size_t patch_row = 0;
-        for (std::size_t c = 0; c < spec.in_channels; ++c) {
-            for (std::size_t kh = 0; kh < spec.kernel_h; ++kh) {
-                for (std::size_t kw = 0; kw < spec.kernel_w; ++kw, ++patch_row) {
-                    const float* prow = columns + patch_row * total_cols;
-                    for (std::size_t n = n0; n < n1; ++n) {
-                        float* img = dst + n * image_elems;
-                        const float* srow = prow + n * out_cols;
-                        for (std::size_t oy = 0; oy < oh; ++oy) {
-                            const std::ptrdiff_t iy =
-                                static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
-                                static_cast<std::ptrdiff_t>(spec.padding);
-                            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
-                                continue;
-                            }
-                            float* irow =
-                                img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-                            for (std::size_t ox = 0; ox < ow; ++ox) {
-                                const std::ptrdiff_t ix =
-                                    static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                                    static_cast<std::ptrdiff_t>(spec.padding);
-                                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
-                                    continue;
-                                }
-                                irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    if (conv_fan_out(spec.patch_size() * total_cols) && batch > 1) {
-        parallel_for(batch, scatter_images);
-    } else {
-        scatter_images(0, batch);
-    }
+    const std::vector<std::size_t> rows = all_patch_rows(spec);
+    col2im_batch_rows(columns, batch, in_h, in_w, spec, rows.data(), rows.size(), dst);
 }
 
 tensor im2col(const tensor& image, const conv2d_spec& spec) {
@@ -247,45 +210,6 @@ void check_conv_inputs(const tensor& input, const tensor& weight, const conv2d_s
 }
 
 }  // namespace
-
-tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
-                      const conv2d_spec& spec) {
-    check_conv_inputs(input, weight, spec);
-    const std::size_t batch = input.extent(0);
-    const std::size_t in_h = input.extent(2);
-    const std::size_t in_w = input.extent(3);
-    const std::size_t oh = spec.out_h(in_h);
-    const std::size_t ow = spec.out_w(in_w);
-    const bool has_bias = !bias.empty();
-    if (has_bias) {
-        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
-                     "conv2d bias " << bias.describe() << " does not match out_channels");
-    }
-
-    const std::size_t patch = spec.patch_size();
-    const std::size_t plane = oh * ow;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    tensor output({batch, spec.out_channels, oh, ow});
-    float* out_ptr = output.raw();
-    // The weight tensor [O, C, kh, kw] IS the lowered [O, patch] matrix —
-    // row-major contiguity makes the reshape free (the seed copied it).
-    const float* weight2d = weight.raw();
-
-    workspace& ws = workspace::local();
-    const std::size_t chunk = images_per_chunk(patch + spec.out_channels, plane, batch);
-    for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
-        const std::size_t nb = std::min(chunk, batch - n0);
-        const std::size_t cols = nb * plane;
-        workspace::buffer colbuf = ws.acquire(patch * cols);
-        im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        gemm_nn(spec.out_channels, cols, patch, weight2d, patch, colbuf.data(), cols,
-                outbuf.data(), cols, /*accumulate=*/false, ws);
-        scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels, bias,
-                               out_ptr, n0);
-    }
-    return output;
-}
 
 std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
                                                 std::size_t in_w) {
@@ -338,6 +262,8 @@ void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
             lower_patch_row(input, batch, in_h, in_w, spec, rows[r], dst + r * total_cols);
         }
     };
+    // Patch rows write disjoint destination rows and read the input
+    // immutably — any partition is bit-identical to the serial loop.
     if (conv_fan_out(nrows * total_cols) && nrows > 1) {
         parallel_for(nrows, lower_rows);
     } else {
@@ -354,10 +280,12 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
     const std::size_t total_cols = batch * out_cols;
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t taps = spec.kernel_h * spec.kernel_w;
-    // Same split-by-image law as col2im_batch: every destination pixel's
+    // Patch rows of different kernel taps accumulate onto OVERLAPPING input
+    // pixels, so the parallel split is by IMAGE: every destination pixel's
     // += chain stays on one thread, visiting the listed patch rows in
-    // ascending order — the serial full adjoint's per-pixel order with the
-    // zero-contribution (all-padding) rows absent.
+    // ascending order — the serial loop's per-pixel chain. An all-padding
+    // row lands no tap in bounds, so leaving it out of the list changes no
+    // chain.
     const auto scatter_images = [&](std::size_t n0, std::size_t n1) {
         for (std::size_t r = 0; r < nrows; ++r) {
             const std::size_t patch_row = rows[r];
@@ -420,9 +348,15 @@ void check_group_bias(const tensor& bias, const conv2d_spec& spec) {
     }
 }
 
-/// Per-call geometry the two grouped forward entry points share: output
-/// extents, the active patch-row subset, and the k-subset descriptor the
-/// grouped GEMM driver consumes (null when no row is structurally zero).
+/// Per-call geometry of the grouped forward driver: output extents, the
+/// patch rows it lowers, and the k-subset descriptor the grouped GEMM
+/// driver consumes (null when every row is lowered).
+///
+/// The all-padding rows (conv_active_patch_rows) lower to exact zeros, and
+/// a finite weight times zero adds nothing an accumulator can see (see
+/// gemm_k_subset), so they are skipped whenever every weight variant is
+/// finite. An Inf or NaN weight would have turned those zeros into NaN, so
+/// then every row is lowered and the poisoning is kept.
 struct group_conv_geometry {
     // Self-referential (subset_ptr/subset.rows point into own members):
     // neither copyable nor movable, by design.
@@ -436,11 +370,12 @@ struct group_conv_geometry {
     std::size_t plane = 0;
     std::size_t patch = 0;
     std::size_t image_elems = 0;
-    std::vector<std::size_t> rows;
+    std::vector<std::size_t> rows;  ///< lowered patch rows, ascending
     gemm_k_subset subset;
     const gemm_k_subset* subset_ptr = nullptr;  ///< null when rows == patch
 
-    explicit group_conv_geometry(const tensor& input, const conv2d_spec& spec) {
+    group_conv_geometry(const tensor& input, const conv2d_spec& spec,
+                        const std::vector<const float*>& weights) {
         REDUCE_CHECK(input.dim() == 4 && input.extent(1) == spec.in_channels,
                      "grouped conv2d expects input [N,C,H,W] matching the spec, got "
                          << input.describe());
@@ -452,30 +387,37 @@ struct group_conv_geometry {
         patch = spec.patch_size();
         image_elems = spec.in_channels * in_h * in_w;
         rows = conv_active_patch_rows(spec, in_h, in_w);
-        subset.rows = rows.data();
-        subset.count = rows.size();
-        subset.original_k = patch;
-        if (rows.size() != patch) { subset_ptr = &subset; }
+        if (rows.size() == patch) { return; }
+        for (const float* w : weights) {
+            if (!all_finite(w, spec.out_channels * patch)) {
+                rows = all_patch_rows(spec);
+                return;
+            }
+        }
+        subset = {rows.data(), rows.size(), patch};
+        subset_ptr = &subset;
     }
 
-    /// Lowers a chunk of `nb` images starting at `src` into `dst`
-    /// ([rows.size(), nb*plane]), via the full or row-subset path.
+    /// Lowers the listed rows of a chunk of `nb` images starting at `src`
+    /// into `dst` ([rows.size(), nb*plane]).
     void lower(const float* src, std::size_t nb, const conv2d_spec& spec, float* dst) const {
-        if (subset_ptr == nullptr) {
-            im2col_batch(src, nb, in_h, in_w, spec, dst);
-        } else {
-            im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), rows.size(), dst);
-        }
+        im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), rows.size(), dst);
     }
 };
 
 }  // namespace
 
+tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
+                      const conv2d_spec& spec) {
+    check_conv_inputs(input, weight, spec);
+    return conv2d_forward_grouped_vb(input, 1, {&weight}, {&bias}, spec);
+}
+
 tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
                              const tensor& bias, const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec);
+    const group_conv_geometry geo(input, spec, a_list);
     const std::size_t groups = weights.size();
     const std::size_t batch = input.extent(0);
 
@@ -526,7 +468,7 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
         REDUCE_CHECK(b != nullptr, "conv2d_forward_grouped_vb got a null bias");
         check_group_bias(*b, spec);
     }
-    const group_conv_geometry geo(input, spec);
+    const group_conv_geometry geo(input, spec, a_list);
     REDUCE_CHECK(groups > 0 && weights.size() == groups,
                  "conv2d_forward_grouped_vb got " << weights.size() << " weights for "
                                                   << groups << " groups");
@@ -571,44 +513,53 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
 namespace {
 
 /// Backward over one contiguous image block (the serial batch, or one
-/// variant's block of a stacked batch). With `active == nullptr` this IS
-/// the serial conv2d_backward_acc body. With an active-row subset
-/// (n_active < patch) the structurally-zero padding rows are skipped:
+/// variant's block of a stacked batch). It lowers only the patch rows in
+/// `active` (conv_active_patch_rows), which is exact for every input:
 ///
-///   * dX: the column gradient is computed only for active rows (compact W
-///     columns via gemm_tn with unchanged k = out_c chains) and scattered
-///     through col2im_batch_rows — byte-identical unconditionally, because
-///     the serial col2im skips every tap of an all-padding row anyway;
-///   * dW: active columns accumulate into a zeroed compact buffer with the
-///     serial per-chunk acc=true chain, then scatter back by ASSIGNMENT.
-///     Requires `gw` zeroed on entry and finite dY: the skipped columns'
-///     serial value is a sum of exact-zero products, which is +0 — the
-///     value zero_grad left there (the accumulator chain starting at +0 can
-///     never produce -0 under round-to-nearest);
-///   * db and chunking are untouched — the chunk split follows the SERIAL
-///     formula (2*patch + out_c) so the dW/db accumulation order matches
-///     the layer path chunk for chunk.
+///   * dX: the column gradient is computed for the lowered rows only
+///     (compact W columns via gemm_tn, unchanged k = out_c chains) and
+///     scattered through col2im_batch_rows — a skipped row lands no tap in
+///     bounds, so the full adjoint drops it too;
+///   * dW: the lowered columns' current gw entries are gathered into a
+///     compact accumulator, run the full per-chunk acc=true chain there,
+///     and are scattered back. A skipped column's full chain only adds sums
+///     of exact-zero products, each +0, which one `+= 0.0f` reproduces
+///     (-0 → +0 included) whatever gw held. That holds for finite dY; an
+///     Inf/NaN in dY would have made those products NaN, so a non-finite
+///     dY lowers every row;
+///   * db and chunking are untouched — the chunk split follows the
+///     full-row formula (2*patch + out_c), so the dW/db accumulation order
+///     never depends on the skip.
 void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in_h,
                            std::size_t in_w, const float* weight2d, const float* grad_out,
                            const conv2d_spec& spec, float* gin, float* gw, float* gb,
-                           const std::size_t* active, std::size_t n_active, workspace& ws) {
+                           const std::vector<std::size_t>& active, workspace& ws) {
+    if (batch == 0) { return; }
     const std::size_t patch = spec.patch_size();
     const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t out_c = spec.out_channels;
-    const bool skip = active != nullptr && n_active < patch;
-    const std::size_t krows = skip ? n_active : patch;
+    const bool compact = active.size() < patch && all_finite(grad_out, batch * out_c * plane);
+    const std::vector<std::size_t> rows = compact ? active : all_patch_rows(spec);
+    const std::size_t krows = rows.size();
 
+    // W and dW as [out_c, krows] operands: the parameters themselves when
+    // every row is lowered, compact copies of the lowered columns otherwise.
+    const float* wk = weight2d;
+    float* dwk = gw;
     workspace::buffer wcompact;
     workspace::buffer dwcompact;
-    if (skip) {
-        wcompact = ws.acquire(out_c * n_active);
-        dwcompact = ws.acquire_zeroed(out_c * n_active);
+    if (compact) {
+        wcompact = ws.acquire(out_c * krows);
+        dwcompact = ws.acquire(out_c * krows);
         for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t j = 0; j < n_active; ++j) {
-                wcompact.data()[oc * n_active + j] = weight2d[oc * patch + active[j]];
+            for (std::size_t j = 0; j < krows; ++j) {
+                wcompact.data()[oc * krows + j] = weight2d[oc * patch + rows[j]];
+                dwcompact.data()[oc * krows + j] = gw[oc * patch + rows[j]];
             }
         }
+        wk = wcompact.data();
+        dwk = dwcompact.data();
     }
 
     // Three slabs live at once here (columns, lowered dY, column gradient).
@@ -617,12 +568,8 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
         const std::size_t nb = std::min(chunk, batch - n0);
         const std::size_t cols = nb * plane;
         workspace::buffer colbuf = ws.acquire(krows * cols);
-        if (skip) {
-            im2col_batch_rows(input + n0 * image_elems, nb, in_h, in_w, spec, active,
-                              n_active, colbuf.data());
-        } else {
-            im2col_batch(input + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
-        }
+        im2col_batch_rows(input + n0 * image_elems, nb, in_h, in_w, spec, rows.data(), krows,
+                          colbuf.data());
 
         // Gather dY from [N, O, plane] into the lowered [O, nb*plane]
         // layout. Channels write disjoint rows — parallel-safe.
@@ -642,16 +589,10 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
             gather_rows(0, out_c);
         }
 
-        // dW += dY · colsᵀ — one GEMM for the whole chunk, straight into
-        // the parameter gradient (or the compact accumulator when skipping;
-        // the k = cols chain per output element is identical either way).
-        if (skip) {
-            gemm_nt(out_c, n_active, cols, gobuf.data(), cols, colbuf.data(), cols,
-                    dwcompact.data(), n_active, /*accumulate=*/true, ws);
-        } else {
-            gemm_nt(out_c, patch, cols, gobuf.data(), cols, colbuf.data(), cols, gw, patch,
-                    /*accumulate=*/true, ws);
-        }
+        // dW += dY · colsᵀ — one GEMM for the whole chunk; the k = cols
+        // chain per output element is the same whichever rows are lowered.
+        gemm_nt(out_c, krows, cols, gobuf.data(), cols, colbuf.data(), cols, dwk, krows,
+                /*accumulate=*/true, ws);
 
         // db += row sums of dY. Each channel's sum is an independent serial
         // chain, so splitting channels across threads changes no bit.
@@ -672,22 +613,23 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
         // dX += col2im(Wᵀ · dY); the column gradient reuses the im2col slab
         // shape, and col2im accumulates in place.
         workspace::buffer gradcols = ws.acquire(krows * cols);
-        if (skip) {
-            gemm_tn(n_active, cols, out_c, wcompact.data(), n_active, gobuf.data(), cols,
-                    gradcols.data(), cols, /*accumulate=*/false, ws);
-            col2im_batch_rows(gradcols.data(), nb, in_h, in_w, spec, active, n_active,
-                              gin + n0 * image_elems);
-        } else {
-            gemm_tn(patch, cols, out_c, weight2d, patch, gobuf.data(), cols, gradcols.data(),
-                    cols, /*accumulate=*/false, ws);
-            col2im_batch(gradcols.data(), nb, in_h, in_w, spec, gin + n0 * image_elems);
-        }
+        gemm_tn(krows, cols, out_c, wk, krows, gobuf.data(), cols, gradcols.data(), cols,
+                /*accumulate=*/false, ws);
+        col2im_batch_rows(gradcols.data(), nb, in_h, in_w, spec, rows.data(), krows,
+                          gin + n0 * image_elems);
     }
 
-    if (skip) {
+    if (compact) {
         for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t j = 0; j < n_active; ++j) {
-                gw[oc * patch + active[j]] = dwcompact.data()[oc * n_active + j];
+            float* grow = gw + oc * patch;
+            const float* crow = dwcompact.data() + oc * krows;
+            std::size_t j = 0;
+            for (std::size_t p = 0; p < patch; ++p) {
+                if (j < krows && rows[j] == p) {
+                    grow[p] = crow[j++];
+                } else {
+                    grow[p] += 0.0f;  // the skipped column's whole chain
+                }
             }
         }
     }
@@ -720,8 +662,9 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
                  "conv2d grad_bias " << grad_bias.describe() << " does not match out_channels");
     conv2d_backward_block(input.raw(), input.extent(0), input.extent(2), input.extent(3),
                           weight.raw(), grad_output.raw(), spec, grad_input.raw(),
-                          grad_weight.raw(), grad_bias.raw(), /*active=*/nullptr,
-                          /*n_active=*/0, workspace::local());
+                          grad_weight.raw(), grad_bias.raw(),
+                          conv_active_patch_rows(spec, input.extent(2), input.extent(3)),
+                          workspace::local());
 }
 
 void conv2d_backward_grouped(const tensor& input, std::size_t groups,
@@ -751,7 +694,6 @@ void conv2d_backward_grouped(const tensor& input, std::size_t groups,
                      "conv2d_backward_grouped variant " << g << " grad_bias mismatch");
     }
     const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
-    const bool skip = rows.size() != spec.patch_size();
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t grad_elems = spec.out_channels * spec.out_h(in_h) * spec.out_w(in_w);
     workspace& ws = workspace::local();
@@ -764,7 +706,7 @@ void conv2d_backward_grouped(const tensor& input, std::size_t groups,
                               grad_output.raw() + g * per_group * grad_elems, spec,
                               grad_input.raw() + g * per_group * image_elems,
                               grad_weights[g]->raw(), grad_biases[g]->raw(),
-                              skip ? rows.data() : nullptr, rows.size(), ws);
+                              rows, ws);
     }
 }
 

@@ -13,6 +13,15 @@
 // batch is split into fixed-size image chunks — a shape-only decision, so
 // results stay deterministic for a given geometry.
 //
+// Structural-zero taps: a patch row whose kernel tap is out of bounds for
+// EVERY output position (8 of the 9 rows per channel of a 3x3 conv on a
+// 1x1-spatial input) lowers to exact zeros. Every conv entry point, serial
+// and grouped, skips those rows (conv_active_patch_rows), and the skip is
+// byte-identical to the full lowering for every input: the forward lowers
+// all rows when a weight is Inf/NaN (which would have poisoned the zeros),
+// the backward when the upstream gradient is, and the dW of a skipped
+// column is reproduced exactly (see conv2d_backward_acc).
+//
 // Intra-op parallelism: when the process-wide budget (set_intra_op_threads
 // / --gemm-threads) exceeds 1, large lowering/scatter loops fan out over
 // the persistent intra-op pool — im2col by patch row (disjoint destination
@@ -78,7 +87,8 @@ std::size_t set_conv_lowering_budget_bytes(std::size_t bytes);
 /// Current lowering budget in bytes.
 std::size_t conv_lowering_budget_bytes();
 
-/// conv2d forward over a batch.
+/// conv2d forward over a batch — the one-variant case of
+/// conv2d_forward_grouped_vb.
 /// input  [N, C, H, W], weight [out_c, in_c, kh, kw], bias [out_c] (optional,
 /// pass empty tensor to skip) → output [N, out_c, oh, ow].
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
@@ -90,18 +100,12 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
 // the same conv geometry in one lowering pass. Both entry points return a
 // variant-stacked [G*N, out_c, oh, ow] tensor (variant g owns image rows
 // [g*N, (g+1)*N)), each block bit-identical to conv2d_forward with that
-// variant's weight — under one documented caveat: patch rows whose kernel
-// tap is out of bounds for EVERY output position (the all-padding rows a
-// 1x1-spatial layer has 8 of 9) are skipped. Their lowered activations are
-// exact zeros, so skipping them cannot change any finite-weight result
-// (see gemm_k_subset); weights containing Inf/NaN would lose their
-// NaN-poisoning of those rows. The evaluator only ever runs pretrained ⊙
-// mask weights, which are finite.
+// variant's weight, Inf/NaN weights included.
 
 /// Patch rows of the lowered matrix with at least one in-bounds tap —
 /// ascending; equals the full [0, patch_size) range when no tap is padded
 /// out everywhere. Pure geometry (shapes only), so chunking/grouping stays
-/// deterministic.
+/// deterministic. Every conv entry point lowers only these rows.
 std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
                                                 std::size_t in_w);
 
@@ -130,10 +134,7 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
 // The grouped TRAINING loop advances K divergent variants in lockstep, so
 // unlike the evaluation drivers above both the weights AND the biases differ
 // per variant, and the backward pass must write per-variant parameter
-// gradients. The same finite-operand caveat applies: the active-row skip is
-// byte-identical to the serial layer path only for finite weights (forward)
-// and finite upstream gradients (dW); the grouped trainer guards both with
-// loud non-finite checks and falls back to the serial path.
+// gradients.
 
 /// Training-mode grouped conv forward over a variant-stacked batch
 /// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g]
@@ -159,9 +160,7 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
 /// grad_biases[g] receive block g's parameter gradients. Each block runs
 /// the exact serial conv2d_backward_acc chunk sequence (batch = N), so
 /// per-variant results are byte-identical to the layer path at any
-/// --gemm-threads. REQUIRES zeroed grad_weights (the active-row dW skip
-/// writes compacted results back by assignment) and finite grad_output
-/// (see gemm_k_subset); grad_biases and grad_input accumulate as usual.
+/// --gemm-threads. Every gradient accumulates onto what it holds.
 void conv2d_backward_grouped(const tensor& input, std::size_t groups,
                              const std::vector<const tensor*>& weights,
                              const tensor& grad_output, const conv2d_spec& spec,
@@ -183,7 +182,11 @@ conv2d_grads conv2d_backward(const tensor& input, const tensor& weight,
 /// Accumulating conv2d backward: adds this batch's gradients onto the
 /// provided tensors (grad_input [N,C,H,W], grad_weight [O,C,kh,kw],
 /// grad_bias [O]) — the layer path, which writes parameter gradients in
-/// place instead of materializing temporaries.
+/// place instead of materializing temporaries. The structural-zero rows
+/// are skipped without changing a byte: a skipped dW column receives
+/// `+= 0.0f` once, exactly what its full chain of zero products adds
+/// (so a held -0 becomes +0), and a non-finite grad_output lowers every
+/// row, keeping the NaNs the full chain would write there.
 void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
                          const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
                          tensor& grad_bias);

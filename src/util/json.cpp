@@ -323,6 +323,9 @@ private:
         char* end = nullptr;
         const double value = std::strtod(token.c_str(), &end);
         if (end == nullptr || *end != '\0') { fail("malformed number '" + token + "'"); }
+        // JSON has no Inf: an overflowing literal would dump as text no
+        // parser (this one included) reads back.
+        if (!std::isfinite(value)) { fail("number out of range '" + token + "'"); }
         return json_value(value);
     }
 

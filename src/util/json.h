@@ -96,7 +96,7 @@ private:
 };
 
 /// Parses a JSON document; throws io_error with position info on malformed
-/// input.
+/// input, including number literals outside the finite double range.
 json_value json_parse(const std::string& text);
 
 /// Reads and parses a JSON file; throws io_error on I/O or parse failure.

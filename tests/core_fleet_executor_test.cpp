@@ -1,13 +1,14 @@
-// Tests for chip_tuner and fleet_executor: byte-identical equivalence with
-// the legacy reduce_pipeline entry points, thread-count independence of the
-// parallel fan-out, sink/progress ordering, and input validation.
+// Tests for chip_tuner and fleet_executor: policy outcomes over a fleet,
+// thread-count independence of the parallel fan-out, sink/progress
+// ordering, input validation, and the mitigation-comparison harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/fleet_executor.h"
-#include "core/pipeline.h"
+#include "core/mitigation.h"
 #include "core/policy.h"
 #include "core/workload.h"
 #include "util/error.h"
@@ -88,30 +89,64 @@ workload* FleetExecutorFixture::shared_ = nullptr;
 std::vector<chip>* FleetExecutorFixture::fleet_ = nullptr;
 resilience_table* FleetExecutorFixture::table_ = nullptr;
 
-TEST_F(FleetExecutorFixture, ReducePolicyMatchesLegacyRunReduce) {
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    const policy_outcome old_api =
-        legacy.run_reduce(fleet(), table(), sel_config(), "reduce-max");
-
-    fleet_executor executor = make_executor();
+TEST_F(FleetExecutorFixture, ReducePolicyCoversFleet) {
     const reduce_policy policy(table(), sel_config());
-    const policy_outcome new_api = executor.run(policy, fleet(), "reduce-max");
-
-    EXPECT_EQ(old_api.policy_name, new_api.policy_name);
-    expect_identical(old_api, new_api);
+    const policy_outcome outcome = make_executor().run(policy, fleet(), "reduce-max");
+    EXPECT_EQ(outcome.policy_name, "reduce-max");
+    ASSERT_EQ(outcome.chips.size(), fleet().size());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_GE(c.epochs_run, 0.0);
+        EXPECT_GE(c.final_accuracy, 0.0);
+        EXPECT_LE(c.final_accuracy, 1.0);
+        EXPECT_EQ(c.meets_constraint, c.final_accuracy >= 0.85);
+    }
+    EXPECT_NEAR(outcome.mean_epochs() * static_cast<double>(fleet().size()),
+                outcome.total_epochs(), 1e-9);
 }
 
-TEST_F(FleetExecutorFixture, FixedPolicyMatchesLegacyRunFixed) {
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    const policy_outcome old_api = legacy.run_fixed(fleet(), 0.5, 0.85, "fixed-0.5");
+TEST_F(FleetExecutorFixture, FixedPolicyRunsRequestedEpochs) {
+    const policy_outcome outcome = make_executor().run(fixed_policy(0.5, 0.85), fleet());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_DOUBLE_EQ(c.epochs_allocated, 0.5);
+        // steps quantization can push epochs_run slightly above allocation
+        EXPECT_NEAR(c.epochs_run, 0.5, 0.2);
+    }
+}
 
+TEST_F(FleetExecutorFixture, ZeroEpochFixedPolicyIsEvaluationOnly) {
+    const policy_outcome outcome = make_executor().run(fixed_policy(0.0, 0.85), fleet());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_DOUBLE_EQ(c.epochs_run, 0.0);
+        EXPECT_DOUBLE_EQ(c.final_accuracy, c.accuracy_before);
+    }
+}
+
+TEST_F(FleetExecutorFixture, MoreEpochsNeverHurtOnAverage) {
     fleet_executor executor = make_executor();
-    const fixed_policy policy(0.5, 0.85);
-    const policy_outcome new_api = executor.run(policy, fleet(), "fixed-0.5");
+    const policy_outcome low = executor.run(fixed_policy(0.1, 0.85), fleet());
+    const policy_outcome high = executor.run(fixed_policy(2.0, 0.85), fleet());
+    double low_mean = 0.0;
+    double high_mean = 0.0;
+    for (std::size_t i = 0; i < fleet().size(); ++i) {
+        low_mean += low.chips[i].final_accuracy;
+        high_mean += high.chips[i].final_accuracy;
+    }
+    EXPECT_GE(high_mean, low_mean - 0.02);  // small tolerance for noise
+    EXPECT_GE(high.fraction_meeting(), low.fraction_meeting() - 1e-9);
+}
 
-    expect_identical(old_api, new_api);
+TEST(PolicyOutcome, Aggregates) {
+    policy_outcome outcome;
+    outcome.chips.push_back({.epochs_run = 1.0, .final_accuracy = 0.9,
+                             .meets_constraint = true});
+    outcome.chips.push_back({.epochs_run = 3.0, .final_accuracy = 0.8,
+                             .meets_constraint = false});
+    EXPECT_DOUBLE_EQ(outcome.total_epochs(), 4.0);
+    EXPECT_DOUBLE_EQ(outcome.mean_epochs(), 2.0);
+    EXPECT_DOUBLE_EQ(outcome.fraction_meeting(), 0.5);
+    const policy_outcome empty;
+    EXPECT_DOUBLE_EQ(empty.mean_epochs(), 0.0);
+    EXPECT_DOUBLE_EQ(empty.fraction_meeting(), 0.0);
 }
 
 TEST_F(FleetExecutorFixture, OutcomesAreThreadCountIndependent) {
@@ -277,12 +312,6 @@ TEST_F(FleetExecutorFixture, ValidatesFleetAndConstraint) {
         epoch_allocation allocate(const chip_view&) const override { return {}; }
     };
     EXPECT_THROW((void)executor.run(bad_target_policy{}, fleet()), error);
-
-    // Legacy shim: same validation through run_fixed.
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    EXPECT_THROW((void)legacy.run_fixed(fleet(), 0.1, -0.2, "x"), error);
-    EXPECT_THROW((void)legacy.run_fixed(fleet(), 0.1, 1.2, "x"), error);
 }
 
 TEST_F(FleetExecutorFixture, ChipTunerRecoversFromMidTuneFailure) {
@@ -301,6 +330,52 @@ TEST_F(FleetExecutorFixture, ChipTunerRecoversFromMidTuneFailure) {
     const chip_outcome after = tuner.tune(fleet()[0], ok, 0.85, 0.1);
     EXPECT_EQ(before.final_accuracy, after.final_accuracy);
     EXPECT_EQ(before.accuracy_before, after.accuracy_before);
+}
+
+TEST_F(FleetExecutorFixture, MitigationComparisonOrdering) {
+    mitigation_config cfg;
+    cfg.fault_rates = {0.2};
+    cfg.fat_epochs = 1.5;
+    const std::vector<mitigation_outcome> outcomes =
+        compare_mitigations(*w().model, w().pretrained, w().train_data, w().test_data,
+                            w().array, w().trainer_cfg, cfg);
+    ASSERT_EQ(outcomes.size(), 4u);
+    double unmitigated = 0.0;
+    double fap = 0.0;
+    double fam = 0.0;
+    double fat = 0.0;
+    for (const mitigation_outcome& o : outcomes) {
+        if (o.technique == "unmitigated") { unmitigated = o.accuracy; }
+        if (o.technique == "fap") { fap = o.accuracy; }
+        if (o.technique == "fam") { fam = o.accuracy; }
+        if (o.technique == "fat") { fat = o.accuracy; }
+    }
+    // The paper's hierarchy: FAT >= FAM >= FAP >> unmitigated. At this tiny
+    // test scale FAM can come within noise of a short FAT run, so the
+    // adjacent comparisons carry a small tolerance.
+    EXPECT_GT(fap, unmitigated);
+    EXPECT_GE(fam, fap - 0.05);
+    EXPECT_GE(fat, fam - 0.05);
+    EXPECT_GT(fat, unmitigated + 0.1);
+}
+
+TEST_F(FleetExecutorFixture, CorruptWeightsRespectsKinds) {
+    restore_parameters(w().model->parameters(), w().pretrained);
+    fault_grid faults(w().array.rows, w().array.cols);
+    faults.set(0, 0, pe_fault::stuck_weight_max);
+    faults.set(1, 1, pe_fault::stuck_weight_zero);
+    corrupt_weights_for_faults(*w().model, w().array, faults);
+
+    const auto layers = collect_mapped_layers(*w().model);
+    const tensor& weights = layers[0].weight->value;
+    // The stuck-at-max value is the largest pretrained magnitude.
+    float w_max = 0.0f;
+    for (const float v : w().pretrained.values[0].data()) {
+        w_max = std::max(w_max, std::abs(v));
+    }
+    EXPECT_FLOAT_EQ(weights.at2(0, 0), w_max);   // (i=0, o=0) on PE (0,0)
+    EXPECT_FLOAT_EQ(weights.at2(1, 1), 0.0f);    // (i=1, o=1) on PE (1,1)
+    restore_parameters(w().model->parameters(), w().pretrained);
 }
 
 }  // namespace

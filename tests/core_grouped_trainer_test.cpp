@@ -490,8 +490,8 @@ TEST(FleetExecutor, MismatchedAllocationsDowngradeLoudlyAndMatchSerial) {
 
 TEST(FleetExecutor, NonfiniteDivergenceFallsBackSeriallyAndMatches) {
     // A divergent learning rate drives losses non-finite within a few steps.
-    // The grouped path must refuse to follow (its conv/GEMM skips are only
-    // byte-identical for finite operands), fall back to the serial path, and
+    // The grouped path must refuse to follow (divergence handling lives in
+    // the serial trainer), fall back to the serial path, and
     // count the downgrade — and the fleet outcome must equal the all-serial
     // run exactly.
     train_case c = make_mlp_case();

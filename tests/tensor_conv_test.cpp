@@ -1,12 +1,24 @@
 // Tests for convolution/pooling primitives: im2col geometry, conv2d against
-// a direct reference, adjoint consistency of col2im, pooling behaviour.
+// a direct reference, adjoint consistency of col2im, pooling behaviour, and
+// the structural-zero tap skip pinned bitwise against a full lowering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "tensor/conv.h"
+#include "tensor/gemm.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -256,6 +268,300 @@ INSTANTIATE_TEST_SUITE_P(Geometries, ConvGeometries,
                                            conv_case{3, 2, 3, 2, 1, 7, 6},
                                            conv_case{1, 4, 5, 1, 2, 8, 8},
                                            conv_case{2, 2, 2, 2, 0, 6, 6}));
+
+// ---- structural-zero taps: skip == full lowering, byte for byte ----------
+//
+// The references below lower EVERY patch row (im2col_batch), multiply with
+// the plain GEMMs and scatter through col2im_batch — the conv path with no
+// skip at all. conv2d_forward / conv2d_backward_acc skip the all-padding
+// rows and must match them to the last bit, NaN/Inf and signed zeros
+// included, at any chunking and any --gemm-threads.
+
+bool same_bytes(const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+tensor full_forward_ref(const tensor& input, const tensor& weight, const tensor& bias,
+                        const conv2d_spec& spec) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t cols = batch * plane;
+    const std::size_t out_c = spec.out_channels;
+    std::vector<float> lowered(spec.patch_size() * cols);
+    std::vector<float> out2d(out_c * cols);
+    im2col_batch(input.raw(), batch, in_h, in_w, spec, lowered.data());
+    gemm_nn(out_c, cols, spec.patch_size(), weight.raw(), spec.patch_size(), lowered.data(),
+            cols, out2d.data(), cols, /*accumulate=*/false, workspace::local());
+    tensor out({batch, out_c, spec.out_h(in_h), spec.out_w(in_w)});
+    for (std::size_t n = 0; n < batch; ++n) {
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            const float b = bias.empty() ? 0.0f : bias[oc];
+            for (std::size_t i = 0; i < plane; ++i) {
+                out.raw()[(n * out_c + oc) * plane + i] = out2d[oc * cols + n * plane + i] + b;
+            }
+        }
+    }
+    return out;
+}
+
+/// Full-lowering backward with the documented chunk split: images per
+/// chunk = budget / ((2*patch + out_c) * plane floats), clamped to [1, N].
+void full_backward_ref(const tensor& input, const tensor& weight, const tensor& grad_output,
+                       const conv2d_spec& spec, tensor& gin, tensor& gw, tensor& gb) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t patch = spec.patch_size();
+    const std::size_t out_c = spec.out_channels;
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    const std::size_t per_image = (2 * patch + out_c) * plane * sizeof(float);
+    const std::size_t chunk =
+        std::clamp<std::size_t>(conv_lowering_budget_bytes() / per_image, 1, batch);
+    workspace& ws = workspace::local();
+    for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
+        const std::size_t nb = std::min(chunk, batch - n0);
+        const std::size_t cols = nb * plane;
+        std::vector<float> lowered(patch * cols);
+        im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, lowered.data());
+        std::vector<float> dy(out_c * cols);
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            for (std::size_t n = 0; n < nb; ++n) {
+                std::memcpy(dy.data() + oc * cols + n * plane,
+                            grad_output.raw() + ((n0 + n) * out_c + oc) * plane,
+                            plane * sizeof(float));
+            }
+        }
+        gemm_nt(out_c, patch, cols, dy.data(), cols, lowered.data(), cols, gw.raw(), patch,
+                /*accumulate=*/true, ws);
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            float acc = 0.0f;
+            for (std::size_t i = 0; i < cols; ++i) { acc += dy[oc * cols + i]; }
+            gb.raw()[oc] += acc;
+        }
+        std::vector<float> gradcols(patch * cols);
+        gemm_tn(patch, cols, out_c, weight.raw(), patch, dy.data(), cols, gradcols.data(), cols,
+                /*accumulate=*/false, ws);
+        col2im_batch(gradcols.data(), nb, in_h, in_w, spec, gin.raw() + n0 * image_elems);
+    }
+}
+
+struct skip_case {
+    std::size_t in_c, out_c, k, stride, pad, h, w, batch;
+};
+
+std::ostream& operator<<(std::ostream& os, const skip_case& c) {
+    return os << c.in_c << "->" << c.out_c << " k" << c.k << " s" << c.stride << " p" << c.pad
+              << " " << c.h << "x" << c.w << " n" << c.batch;
+}
+
+/// The dead-tap patch row of (channel c, tap (0, 0)): out of bounds
+/// everywhere for every geometry below that has dead taps at all.
+std::size_t corner_row(const conv2d_spec& spec, std::size_t c) {
+    return c * spec.kernel_h * spec.kernel_w;
+}
+
+bool has_dead_rows(const conv2d_spec& spec, std::size_t h, std::size_t w) {
+    return conv_active_patch_rows(spec, h, w).size() < spec.patch_size();
+}
+
+/// Forward + backward of one case under the current thread budget and
+/// lowering budget, against the full-lowering references. Gradients start
+/// from a pre-filled state holding non-zero values and -0.
+void expect_skip_matches_full(const skip_case& c, const tensor& input, const tensor& weight,
+                              const tensor& bias, const tensor& grad_output,
+                              const std::string& label) {
+    const conv2d_spec spec{c.in_c, c.out_c, c.k, c.k, c.stride, c.pad};
+    EXPECT_TRUE(same_bytes(conv2d_forward(input, weight, bias, spec),
+                           full_forward_ref(input, weight, bias, spec)))
+        << "forward " << c << " " << label;
+
+    rng gen(7);
+    tensor gin_prefill = random_tensor(input.shape(), gen);
+    tensor gw_prefill = random_tensor(weight.shape(), gen);
+    for (std::size_t i = 0; i < gw_prefill.numel(); i += 3) { gw_prefill.raw()[i] = -0.0f; }
+    tensor gb_prefill = random_tensor({c.out_c}, gen);
+    gb_prefill.raw()[0] = -0.0f;
+
+    tensor gin = gin_prefill, gw = gw_prefill, gb = gb_prefill;
+    conv2d_backward_acc(input, weight, grad_output, spec, gin, gw, gb);
+    tensor rin = gin_prefill, rw = gw_prefill, rb = gb_prefill;
+    full_backward_ref(input, weight, grad_output, spec, rin, rw, rb);
+    EXPECT_TRUE(same_bytes(gin, rin)) << "dX " << c << " " << label;
+    EXPECT_TRUE(same_bytes(gw, rw)) << "dW " << c << " " << label;
+    EXPECT_TRUE(same_bytes(gb, rb)) << "db " << c << " " << label;
+}
+
+class ConvTapSkip : public ::testing::TestWithParam<skip_case> {};
+
+TEST_P(ConvTapSkip, ForwardAndBackwardMatchFullLoweringBitwise) {
+    const skip_case c = GetParam();
+    const conv2d_spec spec{c.in_c, c.out_c, c.k, c.k, c.stride, c.pad};
+    rng gen(c.in_c * 1000 + c.out_c * 100 + c.h * 10 + c.w);
+    const tensor input = random_tensor({c.batch, c.in_c, c.h, c.w}, gen);
+    const tensor weight = random_tensor({c.out_c, c.in_c, c.k, c.k}, gen);
+    const tensor bias = random_tensor({c.out_c}, gen);
+    const tensor grad_output =
+        random_tensor({c.batch, c.out_c, spec.out_h(c.h), spec.out_w(c.w)}, gen);
+
+    // Budgets: the default (one chunk), one image per chunk, and two images
+    // per backward chunk (an uneven tail for odd batches).
+    const std::size_t two_images =
+        2 * (2 * spec.patch_size() + c.out_c) * spec.out_h(c.h) * spec.out_w(c.w) *
+        sizeof(float);
+    for (const std::size_t budget : {conv_lowering_budget_bytes(), std::size_t{1}, two_images}) {
+        const std::size_t previous = set_conv_lowering_budget_bytes(budget);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            const scoped_intra_op_threads scope(threads);
+            const std::string label =
+                "budget " + std::to_string(budget) + " threads " + std::to_string(threads);
+            expect_skip_matches_full(c, input, weight, bias, grad_output, label);
+            expect_skip_matches_full(c, input, weight, tensor(), grad_output, label + " no-bias");
+        }
+        set_conv_lowering_budget_bytes(previous);
+    }
+}
+
+TEST_P(ConvTapSkip, NonFiniteOperandsMatchFullLoweringBitwise) {
+    const skip_case c = GetParam();
+    const conv2d_spec spec{c.in_c, c.out_c, c.k, c.k, c.stride, c.pad};
+    rng gen(c.in_c * 1000 + c.out_c * 100 + c.h * 10 + c.w + 1);
+    const tensor input = random_tensor({c.batch, c.in_c, c.h, c.w}, gen);
+    const tensor weight = random_tensor({c.out_c, c.in_c, c.k, c.k}, gen);
+    const tensor bias = random_tensor({c.out_c}, gen);
+    const tensor grad_output =
+        random_tensor({c.batch, c.out_c, spec.out_h(c.h), spec.out_w(c.w)}, gen);
+    const std::size_t patch = spec.patch_size();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+
+    // Inf / NaN in a dead-tap weight: the full chain multiplies it by the
+    // padding zeros, which poisons the output with NaN.
+    tensor w_inf = weight;
+    w_inf.raw()[1 * patch + corner_row(spec, 0)] = inf;
+    tensor w_nan = weight;
+    w_nan.raw()[0 * patch + corner_row(spec, c.in_c - 1)] = nan;
+    // NaN and Inf in dY: the full dW chain turns the dead columns NaN.
+    tensor dy_nan = grad_output;
+    dy_nan.raw()[grad_output.numel() / 2] = nan;
+    tensor dy_inf = grad_output;
+    dy_inf.raw()[0] = -inf;
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        const scoped_intra_op_threads scope(threads);
+        const std::string at = " threads " + std::to_string(threads);
+        expect_skip_matches_full(c, input, w_inf, bias, grad_output, "Inf weight" + at);
+        expect_skip_matches_full(c, input, w_nan, bias, grad_output, "NaN weight" + at);
+        expect_skip_matches_full(c, input, weight, bias, dy_nan, "NaN dY" + at);
+        expect_skip_matches_full(c, input, weight, bias, dy_inf, "-Inf dY" + at);
+    }
+    if (has_dead_rows(spec, c.h, c.w)) {
+        // The poisoning really reaches the output: a live skip would drop it.
+        const tensor out = conv2d_forward(input, w_inf, bias, spec);
+        const std::size_t plane = spec.out_h(c.h) * spec.out_w(c.w);
+        EXPECT_TRUE(std::isnan(out.raw()[1 * plane])) << c;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvTapSkip,
+    ::testing::Values(skip_case{3, 5, 3, 1, 1, 1, 1, 5},    // 1x1: 8 of 9 taps dead
+                      skip_case{32, 20, 3, 1, 1, 1, 1, 3},  // patch 288 > one KC panel
+                      skip_case{4, 6, 3, 1, 1, 2, 2, 4},    // 2x2: every tap live
+                      skip_case{3, 4, 3, 1, 1, 3, 3, 3},    // odd 3x3
+                      skip_case{3, 4, 3, 1, 1, 1, 3, 5},    // 1x3: top/bottom rows dead
+                      skip_case{2, 3, 3, 2, 1, 2, 2, 5},    // stride 2 on 2x2: row/col 0 dead
+                      skip_case{3, 5, 3, 2, 1, 5, 5, 3},    // stride 2, odd 5x5
+                      skip_case{2, 4, 5, 1, 2, 2, 2, 3}));  // 5x5 kernel on 2x2
+
+TEST(ConvTapSkip, LargeShapeFansOutAndMatchesFullLowering) {
+    // Wide enough that the lowering, scatter and GEMMs all fan out over
+    // the intra-op pool (the small cases above stay below the thresholds),
+    // with 4 of 9 taps live per channel.
+    const skip_case c{16, 16, 3, 2, 1, 2, 2, 2048};
+    const conv2d_spec spec{c.in_c, c.out_c, c.k, c.k, c.stride, c.pad};
+    ASSERT_TRUE(has_dead_rows(spec, c.h, c.w));
+    rng gen(2048);
+    const tensor input = random_tensor({c.batch, c.in_c, c.h, c.w}, gen);
+    const tensor weight = random_tensor({c.out_c, c.in_c, c.k, c.k}, gen);
+    const tensor bias = random_tensor({c.out_c}, gen);
+    const tensor grad_output = random_tensor({c.batch, c.out_c, 1, 1}, gen);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        const scoped_intra_op_threads scope(threads);
+        expect_skip_matches_full(c, input, weight, bias, grad_output,
+                                 "threads " + std::to_string(threads));
+    }
+}
+
+TEST(ConvTapSkip, GroupedDriversMatchPerVariantSerialWithNonFiniteOperands) {
+    // The grouped training drivers share the skip and its guards: a variant
+    // with an Inf dead-tap weight, a NaN in one variant's dY, and pre-filled
+    // gradients (non-zero and -0) all stay byte-identical per variant.
+    const std::size_t groups = 3;
+    const std::size_t per = 4;
+    const conv2d_spec spec{3, 5, 3, 3, 1, 1};
+    rng gen(33);
+    const tensor stacked_in = random_tensor({groups * per, 3, 1, 1}, gen);
+    tensor dy = random_tensor({groups * per, 5, 1, 1}, gen);
+    dy.raw()[per * 5 + 2] = std::numeric_limits<float>::quiet_NaN();  // variant 1
+    std::vector<tensor> weights;
+    std::vector<tensor> biases;
+    std::vector<tensor> gw;
+    std::vector<tensor> gb;
+    for (std::size_t g = 0; g < groups; ++g) {
+        weights.push_back(random_tensor({5, 3, 3, 3}, gen));
+        biases.push_back(random_tensor({5}, gen));
+        gw.push_back(random_tensor({5, 3, 3, 3}, gen));
+        gw.back().raw()[g] = -0.0f;
+        gw.back().raw()[9 + g] = -0.0f;
+        gb.push_back(random_tensor({5}, gen));
+    }
+    weights[2].raw()[corner_row(spec, 1)] = std::numeric_limits<float>::infinity();
+
+    std::vector<const tensor*> wp;
+    std::vector<const tensor*> bp;
+    for (std::size_t g = 0; g < groups; ++g) {
+        wp.push_back(&weights[g]);
+        bp.push_back(&biases[g]);
+    }
+    const tensor fwd = conv2d_forward_grouped_vb(stacked_in, groups, wp, bp, spec);
+    std::vector<tensor> gw_grouped = gw;
+    std::vector<tensor> gb_grouped = gb;
+    tensor gin_grouped(stacked_in.shape());
+    std::vector<tensor*> gwp;
+    std::vector<tensor*> gbp;
+    for (std::size_t g = 0; g < groups; ++g) {
+        gwp.push_back(&gw_grouped[g]);
+        gbp.push_back(&gb_grouped[g]);
+    }
+    conv2d_backward_grouped(stacked_in, groups, wp, dy, spec, gin_grouped, gwp, gbp);
+
+    const std::size_t in_block = per * 3;
+    const std::size_t out_block = per * 5;
+    for (std::size_t g = 0; g < groups; ++g) {
+        tensor in_g({per, 3, 1, 1});
+        tensor dy_g({per, 5, 1, 1});
+        std::memcpy(in_g.raw(), stacked_in.raw() + g * in_block, in_block * sizeof(float));
+        std::memcpy(dy_g.raw(), dy.raw() + g * out_block, out_block * sizeof(float));
+        const tensor fwd_g = full_forward_ref(in_g, weights[g], biases[g], spec);
+        EXPECT_EQ(std::memcmp(fwd.raw() + g * out_block, fwd_g.raw(), out_block * sizeof(float)),
+                  0)
+            << "forward variant " << g;
+        tensor gin_g(in_g.shape());
+        tensor gw_g = gw[g];
+        tensor gb_g = gb[g];
+        full_backward_ref(in_g, weights[g], dy_g, spec, gin_g, gw_g, gb_g);
+        EXPECT_EQ(std::memcmp(gin_grouped.raw() + g * in_block, gin_g.raw(),
+                              in_block * sizeof(float)),
+                  0)
+            << "dX variant " << g;
+        EXPECT_TRUE(same_bytes(gw_grouped[g], gw_g)) << "dW variant " << g;
+        EXPECT_TRUE(same_bytes(gb_grouped[g], gb_g)) << "db variant " << g;
+    }
+}
 
 }  // namespace
 }  // namespace reduce
