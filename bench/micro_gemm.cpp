@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "effective_cpus.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -189,6 +190,13 @@ int main(int argc, char** argv) {
             {"nt", 256, 512, 10, "classifier head"},
             {"tn", 256, 256, 256, "weight gradient"},
             {"tn", 32, 288, 1024, "conv dX (patch x cols)"},
+            // The standard MLP's training step (batch 64, 32 -> 64 -> 64 -> 10)
+            // and its eval batch: small products whose tiles are mostly full.
+            {"nt", 64, 32, 64, "MLP step: layer-0 forward"},
+            {"nt", 64, 64, 10, "MLP step: head forward"},
+            {"tn", 64, 64, 32, "MLP step: layer-0 weight gradient"},
+            {"nn", 64, 64, 32, "MLP step: layer-0 input gradient"},
+            {"nt", 256, 64, 64, "MLP eval: hidden-layer forward (batch 256)"},
         };
 
         bool all_ok = true;
@@ -259,6 +267,7 @@ int main(int argc, char** argv) {
 #else
         root.set("march_native", json_value(false));
 #endif
+        root.set("effective_cpus", bench::effective_cpus_json());
         root.set("min_ms_per_sample", json_value(min_ms));
         root.set("samples", json_value(samples));
         root.set("gemm_256_speedup", json_value(speedup_256));

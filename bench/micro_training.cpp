@@ -30,7 +30,8 @@
 // Speedups are bounded by the machine: on an N-core host expect ≈min(N,
 // --gemm-threads)x on the VGG GEMM-bound rows; on a single-core container
 // the rows still verify bitwise but report ≈1x (the JSON carries
-// hardware_concurrency so consumers can tell the two apart).
+// hardware_concurrency and effective_cpus — the affinity mask capped by the
+// cgroup CPU quota — so consumers can tell the two apart).
 //
 // Options:
 //   --out PATH        JSON output path              (default BENCH_train.json)
@@ -49,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "effective_cpus.h"
 #include "core/fat_trainer.h"
 #include "core/grouped_fat_trainer.h"
 #include "core/workload.h"
@@ -503,6 +505,7 @@ int main(int argc, char** argv) {
 #endif
         root.set("hardware_concurrency",
                  json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
+        root.set("effective_cpus", bench::effective_cpus_json());
         root.set("gemm_threads", json_value(gemm_threads));
         root.set("min_ms_per_sample", json_value(min_ms));
         root.set("samples", json_value(samples));

@@ -98,6 +98,11 @@ typedef float vf8u __attribute__((vector_size(32), aligned(4)));
 /// accumulator ARRAY instead of named variables defeats the compiler's
 /// scalar replacement and falls off a performance cliff.
 ///
+/// The finished tile goes to `c` (row stride `ldc`): `c = acc` when
+/// `overwrite`, else `c = c + acc` — one vector add per element, the same
+/// single IEEE add the scalar edge store performs, so a full tile stored
+/// here is bit-identical to one bounced through an acc[] buffer.
+///
 /// Kernel body, instantiated twice below under different target attributes.
 /// always_inline so each wrapper compiles it with its own ISA: the AVX2+FMA
 /// wrapper turns each `c += a * b` pair into one 8-wide vfmadd; the
@@ -106,7 +111,8 @@ typedef float vf8u __attribute__((vector_size(32), aligned(4)));
 __attribute__((always_inline)) inline void micro_kernel_body(std::size_t kc,
                                                              const float* __restrict pa,
                                                              const float* __restrict pb,
-                                                             float* __restrict acc) {
+                                                             float* __restrict c,
+                                                             std::size_t ldc, bool overwrite) {
     static_assert(MR == 4 && NR == 16, "micro_kernel is hand-unrolled for a 4x16 tile");
     vf8 c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
     for (std::size_t p = 0; p < kc; ++p) {
@@ -127,21 +133,37 @@ __attribute__((always_inline)) inline void micro_kernel_body(std::size_t kc,
         c30 += a3 * b0;
         c31 += a3 * b1;
     }
-    *reinterpret_cast<vf8u*>(acc + 0 * NR) = c00;
-    *reinterpret_cast<vf8u*>(acc + 0 * NR + 8) = c01;
-    *reinterpret_cast<vf8u*>(acc + 1 * NR) = c10;
-    *reinterpret_cast<vf8u*>(acc + 1 * NR + 8) = c11;
-    *reinterpret_cast<vf8u*>(acc + 2 * NR) = c20;
-    *reinterpret_cast<vf8u*>(acc + 2 * NR + 8) = c21;
-    *reinterpret_cast<vf8u*>(acc + 3 * NR) = c30;
-    *reinterpret_cast<vf8u*>(acc + 3 * NR + 8) = c31;
+    vf8u* r0 = reinterpret_cast<vf8u*>(c + 0 * ldc);
+    vf8u* r1 = reinterpret_cast<vf8u*>(c + 1 * ldc);
+    vf8u* r2 = reinterpret_cast<vf8u*>(c + 2 * ldc);
+    vf8u* r3 = reinterpret_cast<vf8u*>(c + 3 * ldc);
+    if (!overwrite) {
+        c00 = r0[0] + c00;
+        c01 = r0[1] + c01;
+        c10 = r1[0] + c10;
+        c11 = r1[1] + c11;
+        c20 = r2[0] + c20;
+        c21 = r2[1] + c21;
+        c30 = r3[0] + c30;
+        c31 = r3[1] + c31;
+    }
+    r0[0] = c00;
+    r0[1] = c01;
+    r1[0] = c10;
+    r1[1] = c11;
+    r2[0] = c20;
+    r2[1] = c21;
+    r3[0] = c30;
+    r3[1] = c31;
 }
 
-using micro_kernel_fn = void (*)(std::size_t, const float*, const float*, float*);
+using micro_kernel_fn = void (*)(std::size_t, const float*, const float*, float*, std::size_t,
+                                 bool);
 
 void micro_kernel_portable(std::size_t kc, const float* __restrict pa,
-                           const float* __restrict pb, float* __restrict acc) {
-    micro_kernel_body(kc, pa, pb, acc);
+                           const float* __restrict pb, float* __restrict c, std::size_t ldc,
+                           bool overwrite) {
+    micro_kernel_body(kc, pa, pb, c, ldc, overwrite);
 }
 
 #if defined(__x86_64__)
@@ -149,8 +171,9 @@ void micro_kernel_portable(std::size_t kc, const float* __restrict pa,
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(std::size_t kc,
                                                            const float* __restrict pa,
                                                            const float* __restrict pb,
-                                                           float* __restrict acc) {
-    micro_kernel_body(kc, pa, pb, acc);
+                                                           float* __restrict c,
+                                                           std::size_t ldc, bool overwrite) {
+    micro_kernel_body(kc, pa, pb, c, ldc, overwrite);
 }
 #endif
 
@@ -174,6 +197,29 @@ micro_kernel_fn select_micro_kernel() {
 }
 
 const micro_kernel_fn micro_kernel = select_micro_kernel();
+
+/// One mr x nr tile of C (mr <= MR, nr <= NR) from a packed A strip and B
+/// strip: `C = A·B` when `overwrite`, else `C = C + A·B`. A full tile is
+/// stored by the kernel straight into C; an edge tile goes through an
+/// MR x NR bounce buffer and only its live mr x nr corner is written back
+/// (the zero-padded rows and columns are discarded). Either way each C
+/// element receives the kernel's kc-long FMA chain followed by one store
+/// or one add — the same bits.
+void gemm_tile(std::size_t kc, const float* astrip, const float* bstrip, float* ctile,
+               std::size_t ldc, std::size_t mr, std::size_t nr, bool overwrite) {
+    if (mr == MR && nr == NR) {
+        micro_kernel(kc, astrip, bstrip, ctile, ldc, overwrite);
+        return;
+    }
+    float acc[MR * NR];  // fully written by the kernel
+    micro_kernel(kc, astrip, bstrip, acc, NR, true);
+    for (std::size_t i = 0; i < mr; ++i) {
+        for (std::size_t j = 0; j < nr; ++j) {
+            float& dst = ctile[i * ldc + j];
+            dst = overwrite ? acc[i * NR + j] : dst + acc[i * NR + j];
+        }
+    }
+}
 
 /// Serial core over a sub-grid of macro-tiles: NC panel columns
 /// [jb0, jb1) x MC block rows [ib0, ib1) of C[m,n] (+)= A · B, where A
@@ -212,22 +258,8 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
                     for (std::size_t ir = 0; ir < mc; ir += MR) {
                         const std::size_t mr = std::min(MR, mc - ir);
                         const float* astrip = apack.data() + (ir / MR) * kc * MR;
-                        float acc[MR * NR];  // fully written by the kernel
-                        micro_kernel(kc, astrip, bstrip, acc);
-                        float* ctile = c + (ic + ir) * ldc + jc + jr;
-                        if (overwrite) {
-                            for (std::size_t i = 0; i < mr; ++i) {
-                                for (std::size_t j = 0; j < nr; ++j) {
-                                    ctile[i * ldc + j] = acc[i * NR + j];
-                                }
-                            }
-                        } else {
-                            for (std::size_t i = 0; i < mr; ++i) {
-                                for (std::size_t j = 0; j < nr; ++j) {
-                                    ctile[i * ldc + j] += acc[i * NR + j];
-                                }
-                            }
-                        }
+                        gemm_tile(kc, astrip, bstrip, c + (ic + ir) * ldc + jc + jr, ldc, mr,
+                                  nr, overwrite);
                     }
                 }
             }
@@ -341,22 +373,8 @@ void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
                         for (std::size_t ir = 0; ir < mc; ir += MR) {
                             const std::size_t mr = std::min(MR, mc - ir);
                             const float* astrip = apack.data() + (ir / MR) * kc * MR;
-                            float acc[MR * NR];  // fully written by the kernel
-                            micro_kernel(kc, astrip, bstrip, acc);
-                            float* ctile = c + (ic + ir) * ldc + jc + jr;
-                            if (overwrite) {
-                                for (std::size_t i = 0; i < mr; ++i) {
-                                    for (std::size_t j = 0; j < nr; ++j) {
-                                        ctile[i * ldc + j] = acc[i * NR + j];
-                                    }
-                                }
-                            } else {
-                                for (std::size_t i = 0; i < mr; ++i) {
-                                    for (std::size_t j = 0; j < nr; ++j) {
-                                        ctile[i * ldc + j] += acc[i * NR + j];
-                                    }
-                                }
-                            }
+                            gemm_tile(kc, astrip, bstrip, c + (ic + ir) * ldc + jc + jr, ldc,
+                                      mr, nr, overwrite);
                         }
                     }
                 }

@@ -370,10 +370,11 @@ tensor relu_backward(const tensor& grad_out, const tensor& input) {
     tensor grad_in = grad_out;
     float* pg = grad_in.raw();
     const float* px = input.raw();
+    // A select, not a branch: it vectorises to compare + and-not, where the
+    // branch on random signs mispredicted about half the time. Same result:
+    // NaN inputs keep their gradient, and -0 or +0 inputs give +0.
     for_each_range(grad_in.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            if (px[i] <= 0.0f) { pg[i] = 0.0f; }
-        }
+        for (std::size_t i = i0; i < i1; ++i) { pg[i] = px[i] <= 0.0f ? 0.0f : pg[i]; }
     });
     return grad_in;
 }

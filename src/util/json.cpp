@@ -94,6 +94,9 @@ void append_escaped(std::string& out, const std::string& text) {
 }
 
 void append_number(std::string& out, double value) {
+    // JSON has no Inf or NaN; "%.17g" would write a bare inf/nan that no
+    // parser, this one included, reads back.
+    REDUCE_CHECK(std::isfinite(value), "json: cannot serialize non-finite number " << value);
     if (value == std::floor(value) && std::abs(value) < 1e15) {
         out += std::to_string(static_cast<long long>(value));
         return;

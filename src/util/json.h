@@ -80,7 +80,8 @@ public:
     const json_object& as_object() const;
 
     /// Serializes; indent < 0 → compact single line, otherwise pretty-printed
-    /// with the given indent width.
+    /// with the given indent width. Throws reduce::error on an Inf or NaN
+    /// number, which JSON cannot represent.
     std::string dump(int indent = -1) const;
 
     /// Deep structural equality (numbers by ==, objects insertion-order

@@ -1,10 +1,11 @@
 // Tests for the blocked GEMM backend and the workspace arena: kernels vs a
 // double-precision naive reference across tile-boundary shapes, NaN/Inf
 // propagation (the seed kernel's zero-skip branch dropped it), workspace
-// reuse safety, and whole-batch conv lowering equivalence (including the
-// chunked path).
+// reuse safety, whole-batch conv lowering equivalence (including the
+// chunked path), and full-tile vs edge-tile stores bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -834,6 +835,176 @@ TEST(BiasOps, GroupedConvPerVariantBiasMatchesSerialAcrossChunkSeams) {
                 EXPECT_EQ(0, std::memcmp(serial[g].raw(), grouped.raw() + g * block,
                                          block * sizeof(float)))
                     << "variant " << g << " budget " << budget_bytes << " @" << threads;
+            }
+        }
+    }
+}
+
+// ---- full-tile store vs edge-tile store -------------------------------------
+//
+// A full 4x16 tile is stored by the micro-kernel straight into C (C = acc,
+// or C = C + acc); an edge tile bounces through a buffer and a scalar loop.
+// Row-at-a-time (m = 1) and narrow column-strip (n < 16) calls only ever
+// take the edge path, so each must reproduce the whole product's bits
+// exactly — accumulate on and off, several KC panels, non-finite and -0
+// operands, at any intra-op budget.
+
+/// The machine's default NaN (what 0 * Inf or Inf - Inf produce), so every
+/// NaN in these products carries one bit pattern and memcmp compares values,
+/// not which operand's payload an add happened to propagate.
+float default_nan() {
+    volatile float inf = std::numeric_limits<float>::infinity();
+    return inf - inf;
+}
+
+/// Uniform [-1, 1) entries with ~10% exact -0, plus a few NaN and +-Inf
+/// entries at random positions — few enough that most outputs stay finite.
+tensor special_operand(shape_t shape, rng& gen) {
+    tensor t = random_tensor(std::move(shape), gen);
+    float* p = t.raw();
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+        if (gen.uniform() < 0.1) { p[i] = -0.0f; }
+    }
+    const float poison[] = {default_nan(), std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+    for (const float v : poison) { p[gen.uniform_index(t.numel())] = v; }
+    return t;
+}
+
+enum class gemm_layout { nn, nt, tn };
+
+const char* layout_name(gemm_layout op) {
+    return op == gemm_layout::nn ? "nn" : op == gemm_layout::nt ? "nt" : "tn";
+}
+
+/// Runs the layout's driver on rows [i0, i0+mi) x columns [j0, j0+nj) of the
+/// m x n product; A is [m,k] (nn, nt) or [k,m] (tn), B is [k,n] (nn, tn) or
+/// [n,k] (nt), C is [m,n].
+void run_sub_gemm(gemm_layout op, std::size_t m, std::size_t n, std::size_t k, const float* a,
+                  const float* b, float* c, bool accumulate, std::size_t i0, std::size_t mi,
+                  std::size_t j0, std::size_t nj) {
+    float* csub = c + i0 * n + j0;
+    switch (op) {
+        case gemm_layout::nn:
+            gemm_nn(mi, nj, k, a + i0 * k, k, b + j0, n, csub, n, accumulate,
+                    workspace::local());
+            break;
+        case gemm_layout::nt:
+            gemm_nt(mi, nj, k, a + i0 * k, k, b + j0 * k, k, csub, n, accumulate,
+                    workspace::local());
+            break;
+        case gemm_layout::tn:
+            gemm_tn(mi, nj, k, a + i0, m, b + j0, n, csub, n, accumulate, workspace::local());
+            break;
+    }
+}
+
+/// The C pre-fills: random values (an accumulate that overwrote would show)
+/// and all -0 (an overwrite that added would keep -0 sums).
+std::vector<tensor> c_prefills(std::size_t m, std::size_t n, rng& gen) {
+    tensor zeros({m, n});
+    zeros.fill(-0.0f);
+    return {random_tensor({m, n}, gen), zeros};
+}
+
+constexpr std::size_t kStrip = 5;  // column-strip width, < NR
+
+TEST(FullTileStore, SerialDriversMatchEdgeOnlyCallsBitwise) {
+    rng gen(401);
+    // Full and edge tiles in both axes, k over one, two and three KC panels,
+    // plus shapes that fan out N-major and M-major at budgets > 1.
+    const std::vector<std::array<std::size_t, 3>> shapes = {
+        {37, 300, 70}, {64, 64, 64}, {8, 600, 32}, {200, 300, 40}, {16, 17, 200}};
+    for (const gemm_layout op : {gemm_layout::nn, gemm_layout::nt, gemm_layout::tn}) {
+        for (const auto& [m, k, n] : shapes) {
+            const tensor a = special_operand(op == gemm_layout::tn ? shape_t{k, m}
+                                                                   : shape_t{m, k},
+                                             gen);
+            const tensor b = special_operand(op == gemm_layout::nt ? shape_t{n, k}
+                                                                   : shape_t{k, n},
+                                             gen);
+            for (const tensor& prefill : c_prefills(m, n, gen)) {
+                for (const bool accumulate : {false, true}) {
+                    for (const std::size_t threads : {1u, 2u, 8u}) {
+                        const scoped_intra_op_threads budget(threads);
+                        tensor whole = prefill;
+                        run_sub_gemm(op, m, n, k, a.raw(), b.raw(), whole.raw(), accumulate,
+                                     0, m, 0, n);
+                        tensor rows = prefill;
+                        for (std::size_t i = 0; i < m; ++i) {
+                            run_sub_gemm(op, m, n, k, a.raw(), b.raw(), rows.raw(),
+                                         accumulate, i, 1, 0, n);
+                        }
+                        tensor strips = prefill;
+                        for (std::size_t j = 0; j < n; j += kStrip) {
+                            run_sub_gemm(op, m, n, k, a.raw(), b.raw(), strips.raw(),
+                                         accumulate, 0, m, j, std::min(kStrip, n - j));
+                        }
+                        EXPECT_TRUE(bitwise_equal(whole, rows) && bitwise_equal(whole, strips))
+                            << layout_name(op) << " " << m << "x" << k << "x" << n
+                            << " accumulate=" << accumulate << " @" << threads;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FullTileStore, GroupedDriverMatchesEdgeOnlyCallsBitwise) {
+    rng gen(403);
+    const std::size_t m = 37, k = 600, n = 70, count = 3;
+    std::vector<tensor> weights;
+    std::vector<const float*> a_list;
+    for (std::size_t g = 0; g < count; ++g) {
+        weights.push_back(special_operand({m, k}, gen));
+        a_list.push_back(weights.back().raw());
+    }
+    std::vector<std::size_t> kept;
+    for (std::size_t p = 0; p < k; ++p) {
+        if (p % 3 != 1 && p % 97 != 0) { kept.push_back(p); }
+    }
+    gemm_k_subset subset;
+    subset.rows = kept.data();
+    subset.count = kept.size();
+    subset.original_k = k;
+    const tensor b_full = special_operand({k, n}, gen);
+    const tensor b_compact = special_operand({kept.size(), n}, gen);
+
+    // Runs gemm_nn_multi on rows [i0, i0+mi) x columns [j0, j0+nj) of every
+    // variant's product.
+    const auto run = [&](const gemm_k_subset* sub, std::vector<tensor>& outs, bool accumulate,
+                         std::size_t i0, std::size_t mi, std::size_t j0, std::size_t nj) {
+        const float* b = (sub == nullptr ? b_full : b_compact).raw();
+        std::vector<const float*> a_rows;
+        std::vector<float*> c_rows;
+        for (std::size_t g = 0; g < count; ++g) {
+            a_rows.push_back(a_list[g] + i0 * k);
+            c_rows.push_back(outs[g].raw() + i0 * n + j0);
+        }
+        gemm_nn_multi(mi, nj, k, a_rows.data(), count, k, b + j0, n, c_rows.data(), n,
+                      accumulate, workspace::local(), sub);
+    };
+    const std::array<const gemm_k_subset*, 2> subsets = {nullptr, &subset};
+    for (const gemm_k_subset* sub : subsets) {
+        for (const tensor& prefill : c_prefills(m, n, gen)) {
+            for (const bool accumulate : {false, true}) {
+                for (const std::size_t threads : {1u, 2u, 8u}) {
+                    const scoped_intra_op_threads budget(threads);
+                    std::vector<tensor> whole(count, prefill);
+                    run(sub, whole, accumulate, 0, m, 0, n);
+                    std::vector<tensor> rows(count, prefill);
+                    for (std::size_t i = 0; i < m; ++i) { run(sub, rows, accumulate, i, 1, 0, n); }
+                    std::vector<tensor> strips(count, prefill);
+                    for (std::size_t j = 0; j < n; j += kStrip) {
+                        run(sub, strips, accumulate, 0, m, j, std::min(kStrip, n - j));
+                    }
+                    for (std::size_t g = 0; g < count; ++g) {
+                        EXPECT_TRUE(bitwise_equal(whole[g], rows[g]) &&
+                                    bitwise_equal(whole[g], strips[g]))
+                            << "variant " << g << " subset=" << (sub != nullptr)
+                            << " accumulate=" << accumulate << " @" << threads;
+                    }
+                }
             }
         }
     }

@@ -1,13 +1,18 @@
 // Tests for tensor operations: matmul family vs naive references,
-// elementwise ops, softmax properties.
+// elementwise ops (ReLU backward bit for bit vs its scalar branch), softmax
+// properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -185,6 +190,48 @@ TEST(Relu, BackwardGatesOnInput) {
     const tensor input = tensor::from_values({-1, 0, 2});
     const tensor grad = tensor::from_values({10, 10, 10});
     EXPECT_TRUE(relu_backward(grad, input) == tensor::from_values({0, 0, 10}));
+}
+
+/// Uniform [-1, 1) entries, a quarter of them replaced by a special value:
+/// NaN, +-Inf, +-0 or a +-denormal.
+tensor relu_special_values(std::size_t n, rng& gen) {
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              1e-40f,
+                              -1e-40f};
+    tensor t = random_tensor({n}, gen);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (gen.uniform() < 0.25) { t.raw()[i] = specials[gen.uniform_index(std::size(specials))]; }
+    }
+    return t;
+}
+
+TEST(Relu, BackwardMatchesScalarBranchBitwise) {
+    // The scalar reference is the branch `if (x <= 0) g = 0`: NaN inputs
+    // keep their gradient (payload and sign included), -0 and +0 inputs
+    // give +0. The large size crosses the elementwise fan-out bar.
+    rng gen(29);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{37}, std::size_t{4099},
+                                std::size_t{300} * 1024}) {
+        const tensor input = relu_special_values(n, gen);
+        const tensor grad = relu_special_values(n, gen);
+        tensor expected = grad;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (input.raw()[i] <= 0.0f) { expected.raw()[i] = 0.0f; }
+        }
+        for (const std::size_t threads : {1u, 4u}) {
+            const scoped_intra_op_threads budget(threads);
+            const tensor got = relu_backward(grad, input);
+            EXPECT_EQ(0, std::memcmp(got.raw(), expected.raw(), n * sizeof(float)))
+                << "n=" << n << " @" << threads;
+        }
+    }
 }
 
 TEST(Norms, SquaredAndL2) {

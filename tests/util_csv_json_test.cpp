@@ -2,9 +2,12 @@
 // persist fault maps and resilience tables.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/csv.h"
 #include "util/error.h"
@@ -174,6 +177,33 @@ TEST(Json, LargeNumbersSurvive) {
     const double x = 123456789.123456;
     json_value v(x);
     EXPECT_NEAR(json_parse(v.dump()).as_number(), x, 1e-6);
+}
+
+TEST(Json, NonFiniteNumbersRefuseToSerialize) {
+    // Every finite double dumps to text that parses back to the same value;
+    // Inf and NaN have no JSON form, so dump throws, naming the value,
+    // wherever they sit in the document.
+    for (const double x : {0.0, -0.0, 1e-300, -2.5, 1e300, 123456789.123456}) {
+        EXPECT_EQ(json_parse(json_value(x).dump()).as_number(), x);
+    }
+    for (const double x : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+        json_object obj;
+        obj.set("ok", json_value(1));
+        obj.set("bad", json_value(json_array{json_value(x)}));
+        const json_value doc(std::move(obj));
+        for (const int indent : {-1, 2}) {
+            try {
+                (void)doc.dump(indent);
+                ADD_FAILURE() << "dumped non-finite " << x;
+            } catch (const error& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("non-finite number"), std::string::npos) << what;
+                EXPECT_NE(what.find(std::isnan(x) ? "nan" : "inf"), std::string::npos) << what;
+            }
+        }
+    }
 }
 
 TEST(Json, EqualityIsDeepAndStructural) {
