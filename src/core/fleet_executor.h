@@ -14,9 +14,14 @@
 // Grouped evaluation: with eval_batch_chips > 1 a worker drains its chips
 // in fleet-order blocks, computing the whole block's `accuracy_before` in
 // one pass through the batched multi-mask evaluator (core/multi_mask_eval)
-// before tuning each chip — amortizing the fleet's dominant repeated
-// test-set inference while keeping every outcome byte-identical to the
-// serial path.
+// before tuning each chip — one batch gather, mask materialization and
+// restore per block instead of per chip, every outcome byte-identical to
+// the serial path.
+//
+// Grouped training: with train_batch_chips > 1, same-allocation chips of a
+// block retrain in lockstep through grouped_chip_tuner — one shared loader
+// and checkpoint schedule, each chip's clone running its own serial
+// forward/backward per step (core/grouped_fat_trainer.h).
 #pragma once
 
 #include <functional>
@@ -162,7 +167,7 @@ struct fleet_executor_config {
     /// (--eval-batch-chips). 0 or 1 → serial per-chip evaluation. Grouping
     /// never changes outcomes (byte-identical contract of
     /// multi_mask_evaluator), only wall-clock time and peak memory (one
-    /// group holds K masked weight sets + K stacked activation batches).
+    /// group holds K masked weight sets).
     /// The executor caps the effective group at an even fleet/worker split
     /// so an oversized value cannot starve worker threads of chips. Blocks
     /// are also the unit workers claim, so grouping coarsens load balancing

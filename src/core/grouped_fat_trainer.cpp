@@ -2,68 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "fault/mask_builder.h"
-#include "nn/grouped.h"
 #include "nn/loss.h"
-#include "nn/metrics.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace reduce {
-
-namespace {
-
-/// Repeats one batch's features K times along dim 0 — every variant trains
-/// on the exact serial batch (and BN variants see the exact serial batch
-/// statistics).
-tensor tile_features(const tensor& features, std::size_t k) {
-    shape_t shape = features.shape();
-    shape[0] *= k;
-    tensor stacked(shape);
-    const std::size_t block = features.numel();
-    for (std::size_t g = 0; g < k; ++g) {
-        std::memcpy(stacked.raw() + g * block, features.raw(), block * sizeof(float));
-    }
-    return stacked;
-}
-
-/// One stacked pass over the full test set: per-variant accuracies,
-/// byte-identical to fault_aware_trainer::evaluate per clone (eval-mode
-/// passes are row-local, so batch splits never change a logit).
-std::vector<double> evaluate_group(grouped_train_net& net,
-                                   const std::vector<sequential*>& variants,
-                                   const dataset& test_data, const fat_config& cfg) {
-    const std::size_t k = variants.size();
-    for (sequential* v : variants) { v->set_training(false); }
-    // Divide the serial eval batch across the stack so peak activation
-    // memory matches the serial path's, with a floor that keeps per-layer
-    // fixed costs amortized — the multi_mask_eval sizing rule.
-    const std::size_t serial_rows = eval_batch_rows(cfg);
-    const std::size_t rows_per_batch = std::max<std::size_t>(32, (serial_rows + k - 1) / k);
-    std::vector<std::size_t> correct(k, 0);
-    std::vector<std::size_t> indices;
-    std::size_t index = 0;
-    while (index < test_data.size()) {
-        const std::size_t count = std::min(rows_per_batch, test_data.size() - index);
-        indices.resize(count);
-        for (std::size_t i = 0; i < count; ++i) { indices[i] = index + i; }
-        const batch b = gather_batch(test_data, indices);
-        const tensor logits = net.forward(tile_features(b.features, k));
-        const std::vector<std::size_t> counts = correct_counts_grouped(logits, k, b.labels);
-        for (std::size_t g = 0; g < k; ++g) { correct[g] += counts[g]; }
-        index += count;
-    }
-    for (sequential* v : variants) { v->set_training(true); }
-    std::vector<double> acc(k);
-    for (std::size_t g = 0; g < k; ++g) {
-        acc[g] = static_cast<double>(correct[g]) / static_cast<double>(test_data.size());
-    }
-    return acc;
-}
-
-}  // namespace
 
 grouped_chip_tuner::grouped_chip_tuner(const sequential& prototype,
                                        const model_snapshot& pretrained,
@@ -141,21 +86,20 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
     // reseed from the chip alone, guard, mask. Guards restore every clone
     // (weights, masks cleared, BN statistics) on every exit path — a
     // grouped_nonfinite_error thrown below leaves the tuner reusable.
-    std::vector<sequential*> variants(k);
     std::vector<std::unique_ptr<fault_state_guard>> guards;
     guards.reserve(k);
     std::vector<mask_stats> stats(k);
+    std::vector<fault_aware_trainer> evaluators;
+    evaluators.reserve(k);
     for (std::size_t g = 0; g < k; ++g) {
         sequential& clone = *clones_[g];
         restore_parameters(clone.parameters(), pretrained_);
         reseed_stochastic_layers(clone, chips[g]->seed);
         guards.push_back(std::make_unique<fault_state_guard>(clone, pretrained_));
         stats[g] = attach_fault_masks(clone, array_, chips[g]->faults);
-        variants[g] = &clone;
+        evaluators.emplace_back(clone, train_data_, test_data_, trainer_cfg_);
     }
     check_mapped_finite(k, "episode start");
-
-    grouped_train_net net(variants);
 
     std::vector<chip_outcome> outcomes(k);
     for (std::size_t g = 0; g < k; ++g) {
@@ -168,10 +112,10 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
     }
 
     // Epoch-0 point: injected (grouped evaluator upstream) or computed here
-    // in one stacked pass.
+    // by each clone's own evaluation.
     std::vector<double> before = accuracy_before;
     if (before.empty()) {
-        before = evaluate_group(net, variants, test_data_, trainer_cfg_);
+        for (fault_aware_trainer& e : evaluators) { before.push_back(e.evaluate()); }
     }
     for (std::size_t g = 0; g < k; ++g) { outcomes[g].accuracy_before = before[g]; }
 
@@ -201,8 +145,8 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
     std::vector<std::unique_ptr<sgd>> opts;
     opts.reserve(k);
     for (std::size_t g = 0; g < k; ++g) {
-        variants[g]->set_training(true);
-        opts.push_back(std::make_unique<sgd>(variants[g]->parameters(), opt_cfg));
+        clones_[g]->set_training(true);
+        opts.push_back(std::make_unique<sgd>(clones_[g]->parameters(), opt_cfg));
         apply_all_masks(opts[g]->params());
     }
 
@@ -211,16 +155,11 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
         const std::size_t target_steps = loader.steps_for_epochs(checkpoint);
         while (steps_done < target_steps) {
             const batch b = loader.next_batch();
-            const std::size_t n = b.features.extent(0);
-            const tensor logits = net.forward(tile_features(b.features, k));
-            const std::size_t classes = logits.extent(1);
-            tensor stacked_grad({n * k, classes});
-            tensor block({n, classes});
+            // Each clone runs the serial trainer's exact step on the shared
+            // batch; only the optimizer sweep below spans variants.
             for (std::size_t g = 0; g < k; ++g) {
-                std::memcpy(block.raw(), logits.raw() + g * n * classes,
-                            n * classes * sizeof(float));
-                // CE normalizes by its own block's n — the serial batch size.
-                const loss_result loss = cross_entropy_loss(block, b.labels);
+                sequential& clone = *clones_[g];
+                const loss_result loss = cross_entropy_loss(clone.forward(b.features), b.labels);
                 if (!std::isfinite(loss.value)) {
                     throw grouped_nonfinite_error(
                         std::string("grouped retraining: variant ") + std::to_string(g) +
@@ -229,13 +168,9 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
                         " — divergence is outside the grouped bit-identity "
                         "contract; retrain this group serially");
                 }
-                std::memcpy(stacked_grad.raw() + g * n * classes, loss.grad.raw(),
-                            n * classes * sizeof(float));
-            }
-            for (std::size_t g = 0; g < k; ++g) { opts[g]->zero_grad(); }
-            net.backward(stacked_grad);
-            if (trainer_cfg_.grad_clip > 0.0) {
-                for (std::size_t g = 0; g < k; ++g) {
+                opts[g]->zero_grad();
+                clone.backward(loss.grad);
+                if (trainer_cfg_.grad_clip > 0.0) {
                     clip_grad_norm(opts[g]->params(), trainer_cfg_.grad_clip);
                 }
             }
@@ -257,10 +192,8 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
         // even when the loss check above lags a step the checkpoint scan
         // catches the variant before any trajectory point is reported.
         check_mapped_finite(k, "checkpoint");
-        const std::vector<double> accs = evaluate_group(net, variants, test_data_,
-                                                        trainer_cfg_);
         for (std::size_t g = 0; g < k; ++g) {
-            trajectories[g].push_back({checkpoint, accs[g]});
+            trajectories[g].push_back({checkpoint, evaluators[g].evaluate()});
         }
     }
     const double epochs_run =

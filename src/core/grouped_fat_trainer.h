@@ -1,27 +1,24 @@
-// Batched multi-variant retraining — K chips' FAT episodes in lockstep.
+// Grouped retraining — K chips' FAT episodes in lockstep.
 //
-// PR 4 batched the fleet's *evaluation* (multi_mask_eval); retraining stayed
-// strictly serial per chip, which leaves the executor paying the per-layer
-// fixed costs (conv lowering, scatter, allocation, fork/join) once per chip
-// per step. grouped_chip_tuner batches the training loop itself: K
-// fault-masked clones advance through the SAME shuffled batch sequence in
-// lockstep on a variant-stacked batch, sharing one batch gather, one stacked
-// walker pass per layer (per-variant A and B operands — after the first
-// optimizer step every variant owns different weights), and one optimizer
-// sweep over the K per-variant SGD states.
+// grouped_chip_tuner advances K fault-masked clones through the SAME
+// shuffled batch sequence in lockstep: one shared data_loader, one
+// checkpoint schedule, and one optimizer sweep over the K per-variant SGD
+// states. Each step runs every clone's own serial pass on the shared batch
+// (sequential::forward → cross_entropy_loss → zero_grad → backward → clip),
+// and each checkpoint evaluates every clone with its own
+// fault_aware_trainer::evaluate — there is no stacked batch and no second
+// forward walker, so K=1 is simply the serial episode.
 //
 // Determinism contract: every chip_outcome, trajectory point, and captured
 // snapshot is byte-identical to running chip_tuner::tune serially on the
 // same chip — at every group size K and every --gemm-threads. The pieces:
 //   * the loader is shared, so each variant sees the exact serial batch
-//     sequence (and BN variants see the exact serial batch statistics —
-//     blocks slice per variant through each clone's own layers);
-//   * per-variant losses are computed on each block independently (CE
-//     normalizes by its own block's N = the serial batch size);
-//   * the walker's grouped GEMMs run the serial kernels per block
-//     (never-split-K), and the optimizer sweep steps each variant's own
-//     sgd — inside a parallel region its element loops gate off, so the
-//     fan-out over variants never changes a bit;
+//     sequence (and BN variants see the exact serial batch statistics);
+//   * every forward, loss, and backward is the serial trainer's own call on
+//     that variant's clone;
+//   * the optimizer sweep steps each variant's own sgd — inside a parallel
+//     region its element loops gate off, so the fan-out over variants
+//     never changes a bit;
 //   * clones are reseeded per chip (mix_seed(chip.seed, layer)) and wrapped
 //     in fault_state_guard, exactly like the serial tuner.
 //
@@ -77,7 +74,7 @@ public:
     /// same-allocation runs; selection_failed may differ, it is only
     /// reported). `accuracy_before` injects precomputed post-FAP accuracies
     /// (one per chip, from the grouped evaluator); pass empty to evaluate
-    /// the group's epoch-0 point here in one stacked pass.
+    /// each chip's epoch-0 point here.
     ///
     /// Returns one chip_outcome per chip, byte-identical to serial
     /// chip_tuner::tune. Throws grouped_nonfinite_error when a variant

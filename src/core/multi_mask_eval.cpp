@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "accel/mapping.h"
 #include "data/loader.h"
@@ -104,7 +105,7 @@ std::vector<double> multi_mask_evaluator::evaluate(
             }
         }
     }
-    return run_pass(masked_scratch_, groups);
+    return run_pass(groups);
 }
 
 std::vector<double> multi_mask_evaluator::evaluate(
@@ -165,67 +166,39 @@ std::vector<double> multi_mask_evaluator::evaluate(
             }
         }
     }
-    return run_pass(masked_scratch_, groups);
+    return run_pass(groups);
 }
 
-std::vector<double> multi_mask_evaluator::evaluate_masked(
-    const std::vector<std::vector<tensor>>& masked_weights, std::size_t groups) {
-    REDUCE_CHECK(groups > 0, "multi_mask_evaluator::evaluate_masked needs variants");
-    // Loud unsupported-combination checks (never silent drift): the clone's
-    // state buffers hold PRETRAINED batch-norm statistics, which
-    // mid-trajectory variants have diverged from — grouped checkpoint
-    // evaluation of normalizing models belongs to the grouped trainer's
-    // walker, which slices per-variant BN state.
-    REDUCE_CHECK(model_->state_buffers().empty(),
-                 "multi_mask_evaluator::evaluate_masked: the model carries state buffers "
-                 "(batch-norm running statistics), which mid-trajectory variants have "
-                 "diverged from — use grouped_chip_tuner's stacked evaluation instead");
-    REDUCE_CHECK(masked_weights.size() == mapped_.size(),
-                 "evaluate_masked: " << masked_weights.size() << " weight sets for "
-                                     << mapped_.size() << " mapped layers");
-    for (std::size_t l = 0; l < mapped_.size(); ++l) {
-        REDUCE_CHECK(masked_weights[l].size() == groups,
-                     "evaluate_masked: layer " << l << " has " << masked_weights[l].size()
-                                               << " variants, expected " << groups);
-        for (std::size_t g = 0; g < groups; ++g) {
-            REDUCE_CHECK(masked_weights[l][g].shape() == mapped_[l].weight->value.shape(),
-                         "evaluate_masked: layer " << l << " variant " << g
-                                                   << " weight shape mismatch");
-            for (const float v : masked_weights[l][g].data()) {
-                REDUCE_CHECK(std::isfinite(v),
-                             "evaluate_masked: variant " << g << " layer " << l
-                                                         << " holds a non-finite weight — "
-                                                            "the variant diverged");
-            }
+std::vector<double> multi_mask_evaluator::run_pass(std::size_t groups) {
+    // One pass over the test set in fault_aware_trainer::evaluate's batch
+    // split: each batch is gathered once and every variant runs the model's
+    // own forward on it, with its masked weights swapped into the mapped
+    // layers (a pointer swap, not a copy) and swapped back afterwards. The
+    // forward is the serial evaluate's call on the same weights, so each
+    // variant's correct count matches the serial path bit for bit.
+    const auto swap_in = [&](std::size_t g) {
+        for (std::size_t l = 0; l < mapped_.size(); ++l) {
+            std::swap(mapped_[l].weight->value, masked_scratch_[l][g]);
         }
-    }
-    return run_pass(masked_weights, groups);
-}
-
-std::vector<double> multi_mask_evaluator::run_pass(
-    const std::vector<std::vector<tensor>>& masked, std::size_t groups) {
-    // One pass over the test set. The serial trainer evaluates
-    // max(batch_size, 256) rows at a time; here the VARIANT-STACKED batch is
-    // what occupies cache and allocator, so divide the row budget by the
-    // group size (floor 32 rows) — the stacked working set then stays near
-    // the serial one at any K. Batch splits never change results: every
-    // row's logits depend only on that row (GEMM k-chains, eval-mode
-    // normalization, and pooling are all row/image-local), so the per-
-    // variant correct counts match the serial path bit for bit regardless.
-    const std::size_t rows_per_batch =
-        std::max<std::size_t>(32, (eval_batch_ + groups - 1) / groups);
+    };
     std::vector<std::size_t> correct(groups, 0);
     std::size_t index = 0;
     std::vector<std::size_t> indices;
     while (index < test_data_.size()) {
-        const std::size_t count = std::min(rows_per_batch, test_data_.size() - index);
+        const std::size_t count = std::min(eval_batch_, test_data_.size() - index);
         indices.resize(count);
         for (std::size_t i = 0; i < count; ++i) { indices[i] = index + i; }
         const batch b = gather_batch(test_data_, indices);
-        const tensor stacked = forward_masked_group(*model_, b.features, groups, masked);
-        const std::vector<std::size_t> counts =
-            correct_counts_grouped(stacked, groups, b.labels);
-        for (std::size_t g = 0; g < groups; ++g) { correct[g] += counts[g]; }
+        for (std::size_t g = 0; g < groups; ++g) {
+            swap_in(g);
+            try {
+                correct[g] += correct_count(model_->forward(b.features), b.labels);
+            } catch (...) {
+                swap_in(g);  // swapping again restores the pretrained weights
+                throw;
+            }
+            swap_in(g);
+        }
         index += count;
     }
 

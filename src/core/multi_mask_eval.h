@@ -5,31 +5,28 @@
 // inference: every chip's `accuracy_before` (and every sweep cell's epoch-0
 // trajectory point) evaluates the SAME pretrained weights under a different
 // fault mask, over the SAME test set. The serial path pays, per chip, a
-// weight restore, a mask build + attach + apply, a full forward per eval
-// batch, and a guard teardown. This engine evaluates K fault-masked
-// variants in one pass instead:
+// weight restore, a mask build + attach + apply, and a guard teardown
+// around its forward passes. This engine evaluates K fault-masked variants
+// on one private clone instead:
 //
 //   * masked weights are materialized per variant in one fused pass over a
 //     precomputed element→PE lookup table (no mask tensors, no modulo math
-//     per chip, no model mutation);
-//   * the test batch is gathered once and layers before the first mapped
-//     layer run once (the shared prefix);
-//   * the first mapped layer fans the shared activations out through the
-//     grouped GEMM drivers of tensor/gemm.h — the activation panels are
-//     packed once and reused across every masked weight;
-//   * every later layer runs once over the variant-stacked batch, so
-//     per-layer fixed costs (lowering, allocation, scatter, bias) are paid
-//     once per group instead of once per chip; grouped conv lowering also
-//     skips structurally-zero padding rows (see tensor/conv.h).
+//     per chip, no restore or guard);
+//   * each test batch is gathered once; every variant then runs the clone's
+//     own sequential::forward on it, with that variant's masked weights
+//     swapped into the mapped layers (std::swap, not a copy) and swapped
+//     back afterwards.
 //
 // Determinism contract: evaluate()[i] is byte-identical to the serial path
 //   restore_parameters → attach_fault_masks(grid_i) → trainer.evaluate()
-// on a clone of the same prototype, at every group size and thread count.
-// The engine never mutates its model clone, so one evaluator serves any
-// number of groups back to back (fleet workers keep one per thread).
+// on a clone of the same prototype, at every group size and thread count —
+// the forward is the same call on the same weights. The engine leaves its
+// clone holding the pretrained weights after every call, so one evaluator
+// serves any number of groups back to back (fleet workers keep one per
+// thread).
 //
 // Memory: one group holds K × (mapped-layer weights) floats of masked
-// weights plus K × (eval batch activations) — the --eval-batch-chips knob
+// weights plus one eval batch of activations — the --eval-batch-chips knob
 // bounds K.
 #pragma once
 
@@ -53,10 +50,8 @@ class multi_mask_evaluator {
 public:
     /// Clones `prototype` and restores `pretrained` into the clone; the
     /// referenced test set must outlive the evaluator. `trainer_cfg` only
-    /// contributes the eval batch sizing rule (max(batch_size, 256)), so
-    /// grouped batches split exactly like fault_aware_trainer::evaluate —
-    /// splits never change results, but matching keeps memory behaviour
-    /// comparable.
+    /// contributes the eval batch sizing rule (eval_batch_rows), so test
+    /// batches split exactly like fault_aware_trainer::evaluate.
     multi_mask_evaluator(const sequential& prototype, const model_snapshot& pretrained,
                          const dataset& test_data, const array_config& array,
                          const fat_config& trainer_cfg);
@@ -80,25 +75,9 @@ public:
         const std::vector<const fault_grid*>& grids,
         const std::vector<const std::vector<std::vector<std::size_t>>*>& perms);
 
-    /// Mid-trajectory entry: evaluates caller-supplied masked weights —
-    /// `masked_weights[l][g]` is variant g's weight for the l-th mapped
-    /// layer (e.g. a retraining checkpoint's value ⊙ mask) — in one stacked
-    /// pass. Two loud preconditions (REDUCE_CHECK / throw) instead of
-    /// silent drift:
-    ///   * the model must carry no state buffers — the evaluator's clone
-    ///     holds PRETRAINED batch-norm statistics, which mid-trajectory
-    ///     variants have diverged from; grouped checkpoint evaluation of
-    ///     normalizing models belongs to grouped_chip_tuner's walker, which
-    ///     slices per-variant BN state;
-    ///   * every supplied weight must be finite — a non-finite one means
-    ///     the variant diverged.
-    std::vector<double> evaluate_masked(const std::vector<std::vector<tensor>>& masked_weights,
-                                        std::size_t groups);
-
 private:
-    /// Shared test-set pass over materialized masked weights.
-    std::vector<double> run_pass(const std::vector<std::vector<tensor>>& masked,
-                                 std::size_t groups);
+    /// Test-set pass over the first `groups` variants of masked_scratch_.
+    std::vector<double> run_pass(std::size_t groups);
     /// Validates grids and refreshes faulty_scratch_ for `groups` variants.
     void build_faulty_grids(const std::vector<const fault_grid*>& grids);
     std::unique_ptr<sequential> model_;
@@ -112,7 +91,8 @@ private:
     std::vector<std::vector<std::uint32_t>> pe_lut_;
     /// Masked-weight tensors [mapped layer][variant] and per-variant
     /// faulty-PE byte grids, storage reused across evaluate() calls
-    /// (contents valid only within one call).
+    /// (contents valid only within one call; run_pass swaps each variant's
+    /// tensors in and out of the mapped layers).
     std::vector<std::vector<tensor>> masked_scratch_;
     std::vector<std::vector<unsigned char>> faulty_scratch_;
 };

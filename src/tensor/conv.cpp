@@ -320,200 +320,53 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
     }
 }
 
-namespace {
-
-/// Shared validation of the grouped forward entry points; returns the raw
-/// weight pointers.
-std::vector<const float*> check_group_weights(const std::vector<const tensor*>& weights,
-                                              const conv2d_spec& spec) {
-    REDUCE_CHECK(!weights.empty(), "grouped conv2d needs at least one weight variant");
-    std::vector<const float*> ptrs(weights.size());
-    for (std::size_t g = 0; g < weights.size(); ++g) {
-        const tensor& w = *weights[g];
-        REDUCE_CHECK(w.dim() == 4 && w.extent(0) == spec.out_channels &&
-                         w.extent(1) == spec.in_channels && w.extent(2) == spec.kernel_h &&
-                         w.extent(3) == spec.kernel_w,
-                     "grouped conv2d weight " << g << " is " << w.describe()
-                                              << " and does not match the spec");
-        ptrs[g] = w.raw();
-    }
-    return ptrs;
-}
-
-void check_group_bias(const tensor& bias, const conv2d_spec& spec) {
-    if (!bias.empty()) {
-        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
-                     "grouped conv2d bias " << bias.describe()
-                                            << " does not match out_channels");
-    }
-}
-
-/// Per-call geometry of the grouped forward driver: output extents, the
-/// patch rows it lowers, and the k-subset descriptor the grouped GEMM
-/// driver consumes (null when every row is lowered).
-///
-/// The all-padding rows (conv_active_patch_rows) lower to exact zeros, and
-/// a finite weight times zero adds nothing an accumulator can see (see
-/// gemm_k_subset), so they are skipped whenever every weight variant is
-/// finite. An Inf or NaN weight would have turned those zeros into NaN, so
-/// then every row is lowered and the poisoning is kept.
-struct group_conv_geometry {
-    // Self-referential (subset_ptr/subset.rows point into own members):
-    // neither copyable nor movable, by design.
-    group_conv_geometry(const group_conv_geometry&) = delete;
-    group_conv_geometry& operator=(const group_conv_geometry&) = delete;
-
-    std::size_t in_h = 0;
-    std::size_t in_w = 0;
-    std::size_t oh = 0;
-    std::size_t ow = 0;
-    std::size_t plane = 0;
-    std::size_t patch = 0;
-    std::size_t image_elems = 0;
-    std::vector<std::size_t> rows;  ///< lowered patch rows, ascending
-    gemm_k_subset subset;
-    const gemm_k_subset* subset_ptr = nullptr;  ///< null when rows == patch
-
-    group_conv_geometry(const tensor& input, const conv2d_spec& spec,
-                        const std::vector<const float*>& weights) {
-        REDUCE_CHECK(input.dim() == 4 && input.extent(1) == spec.in_channels,
-                     "grouped conv2d expects input [N,C,H,W] matching the spec, got "
-                         << input.describe());
-        in_h = input.extent(2);
-        in_w = input.extent(3);
-        oh = spec.out_h(in_h);
-        ow = spec.out_w(in_w);
-        plane = oh * ow;
-        patch = spec.patch_size();
-        image_elems = spec.in_channels * in_h * in_w;
-        rows = conv_active_patch_rows(spec, in_h, in_w);
-        if (rows.size() == patch) { return; }
-        for (const float* w : weights) {
-            if (!all_finite(w, spec.out_channels * patch)) {
-                rows = all_patch_rows(spec);
-                return;
-            }
-        }
-        subset = {rows.data(), rows.size(), patch};
-        subset_ptr = &subset;
-    }
-
-    /// Lowers the listed rows of a chunk of `nb` images starting at `src`
-    /// into `dst` ([rows.size(), nb*plane]).
-    void lower(const float* src, std::size_t nb, const conv2d_spec& spec, float* dst) const {
-        im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), rows.size(), dst);
-    }
-};
-
-}  // namespace
-
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
                       const conv2d_spec& spec) {
     check_conv_inputs(input, weight, spec);
-    return conv2d_forward_grouped_vb(input, 1, {&weight}, {&bias}, spec);
-}
-
-tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec) {
-    const std::vector<const float*> a_list = check_group_weights(weights, spec);
-    check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec, a_list);
-    const std::size_t groups = weights.size();
+    if (!bias.empty()) {
+        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
+                     "conv2d bias " << bias.describe() << " does not match out_channels");
+    }
     const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t oh = spec.out_h(in_h);
+    const std::size_t ow = spec.out_w(in_w);
+    const std::size_t plane = oh * ow;
+    const std::size_t patch = spec.patch_size();
+    const std::size_t out_c = spec.out_channels;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
 
-    tensor output({groups * batch, spec.out_channels, geo.oh, geo.ow});
-    float* out_ptr = output.raw();
+    // The all-padding rows (conv_active_patch_rows) lower to exact zeros,
+    // and a finite weight times zero adds nothing an accumulator can see
+    // (see gemm_k_subset), so they are skipped whenever the weight is
+    // finite. An Inf or NaN weight would have turned those zeros into NaN,
+    // so then every row is lowered and the poisoning is kept.
+    std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
+    const bool compact = rows.size() < patch && all_finite(weight.raw(), weight.numel());
+    if (!compact) { rows = all_patch_rows(spec); }
+    const gemm_k_subset subset{rows.data(), rows.size(), patch};
 
+    tensor output({batch, out_c, oh, ow});
     workspace& ws = workspace::local();
-    const std::size_t chunk =
-        images_per_chunk(geo.rows.size() + groups * spec.out_channels, geo.plane, batch);
-    std::vector<float*> c_list(groups);
+    const std::size_t chunk = images_per_chunk(rows.size() + out_c, plane, batch);
     for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
         const std::size_t nb = std::min(chunk, batch - n0);
-        const std::size_t cols = nb * geo.plane;
-        workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
-        geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
-        // One wide lowered output [O, groups*cols]: variant g's block starts
-        // at column g*cols, so the scatter below reads it like the serial
-        // path reads its per-variant buffer.
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * groups * cols);
-        for (std::size_t g = 0; g < groups; ++g) { c_list[g] = outbuf.data() + g * cols; }
-        gemm_nn_multi(spec.out_channels, cols, geo.patch, a_list.data(), groups, geo.patch,
-                      colbuf.data(), cols, c_list.data(), groups * cols,
-                      /*accumulate=*/false, ws, geo.subset_ptr);
-        for (std::size_t g = 0; g < groups; ++g) {
-            scatter_lowered_output(outbuf.data() + g * cols, groups * cols, nb, geo.plane,
-                                   spec.out_channels, bias, out_ptr, g * batch + n0);
-        }
-    }
-    return output;
-}
-
-tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
-                              const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec) {
-    return conv2d_forward_grouped_vb(input, groups, weights,
-                                     std::vector<const tensor*>(weights.size(), &bias), spec);
-}
-
-tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
-                                 const std::vector<const tensor*>& weights,
-                                 const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec) {
-    const std::vector<const float*> a_list = check_group_weights(weights, spec);
-    REDUCE_CHECK(biases.size() == weights.size(),
-                 "conv2d_forward_grouped_vb got " << biases.size() << " biases for "
-                                                  << weights.size() << " weights");
-    for (const tensor* b : biases) {
-        REDUCE_CHECK(b != nullptr, "conv2d_forward_grouped_vb got a null bias");
-        check_group_bias(*b, spec);
-    }
-    const group_conv_geometry geo(input, spec, a_list);
-    REDUCE_CHECK(groups > 0 && weights.size() == groups,
-                 "conv2d_forward_grouped_vb got " << weights.size() << " weights for "
-                                                  << groups << " groups");
-    const std::size_t total = input.extent(0);
-    REDUCE_CHECK(total % groups == 0, "conv2d_forward_grouped_vb stacked batch "
-                                          << total << " not divisible by " << groups
-                                          << " groups");
-    const std::size_t per_group = total / groups;
-
-    tensor output({total, spec.out_channels, geo.oh, geo.ow});
-    float* out_ptr = output.raw();
-
-    workspace& ws = workspace::local();
-    const std::size_t chunk =
-        images_per_chunk(geo.rows.size() + spec.out_channels, geo.plane, total);
-    for (std::size_t n0 = 0; n0 < total; n0 += chunk) {
-        const std::size_t nb = std::min(chunk, total - n0);
-        const std::size_t cols = nb * geo.plane;
-        workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
-        geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        // A chunk may span variant boundaries; run each variant's weight over
-        // exactly its own image columns, then scatter them with its bias.
-        std::size_t s0 = n0;
-        while (s0 < n0 + nb) {
-            const std::size_t g = s0 / per_group;
-            const std::size_t s1 = std::min(n0 + nb, (g + 1) * per_group);
-            const float* a = a_list[g];
-            float* c = outbuf.data() + (s0 - n0) * geo.plane;
-            const float* b = colbuf.data() + (s0 - n0) * geo.plane;
-            gemm_nn_multi(spec.out_channels, (s1 - s0) * geo.plane, geo.patch, &a, 1,
-                          geo.patch, b, cols, &c, cols, /*accumulate=*/false, ws,
-                          geo.subset_ptr);
-            scatter_lowered_output(c, cols, s1 - s0, geo.plane, spec.out_channels, *biases[g],
-                                   out_ptr, s0);
-            s0 = s1;
-        }
+        const std::size_t cols = nb * plane;
+        workspace::buffer colbuf = ws.acquire(rows.size() * cols);
+        im2col_batch_rows(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, rows.data(),
+                          rows.size(), colbuf.data());
+        workspace::buffer outbuf = ws.acquire(out_c * cols);
+        gemm_nn(out_c, cols, patch, weight.raw(), patch, colbuf.data(), cols, outbuf.data(),
+                cols, /*accumulate=*/false, ws, compact ? &subset : nullptr);
+        scatter_lowered_output(outbuf.data(), cols, nb, plane, out_c, bias, output.raw(), n0);
     }
     return output;
 }
 
 namespace {
 
-/// Backward over one contiguous image block (the serial batch, or one
-/// variant's block of a stacked batch). It lowers only the patch rows in
+/// Backward over a contiguous image batch. It lowers only the patch rows in
 /// `active` (conv_active_patch_rows), which is exact for every input:
 ///
 ///   * dX: the column gradient is computed for the lowered rows only
@@ -665,49 +518,6 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
                           grad_weight.raw(), grad_bias.raw(),
                           conv_active_patch_rows(spec, input.extent(2), input.extent(3)),
                           workspace::local());
-}
-
-void conv2d_backward_grouped(const tensor& input, std::size_t groups,
-                             const std::vector<const tensor*>& weights,
-                             const tensor& grad_output, const conv2d_spec& spec,
-                             tensor& grad_input,
-                             const std::vector<tensor*>& grad_weights,
-                             const std::vector<tensor*>& grad_biases) {
-    REDUCE_CHECK(groups > 0 && weights.size() == groups && grad_weights.size() == groups &&
-                     grad_biases.size() == groups,
-                 "conv2d_backward_grouped variant counts do not match " << groups
-                                                                        << " groups");
-    const std::size_t total = input.extent(0);
-    REDUCE_CHECK(input.dim() == 4 && total % groups == 0,
-                 "conv2d_backward_grouped stacked batch " << input.describe()
-                                                          << " not divisible by " << groups);
-    const std::size_t per_group = total / groups;
-    const std::size_t in_h = input.extent(2);
-    const std::size_t in_w = input.extent(3);
-    check_conv_backward_shapes(input, *weights[0], grad_output, spec, grad_input);
-    for (std::size_t g = 0; g < groups; ++g) {
-        REDUCE_CHECK(weights[g]->shape() == weights[0]->shape() &&
-                         grad_weights[g]->shape() == weights[0]->shape(),
-                     "conv2d_backward_grouped variant " << g << " weight/grad shape mismatch");
-        REDUCE_CHECK(grad_biases[g]->dim() == 1 &&
-                         grad_biases[g]->extent(0) == spec.out_channels,
-                     "conv2d_backward_grouped variant " << g << " grad_bias mismatch");
-    }
-    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    const std::size_t grad_elems = spec.out_channels * spec.out_h(in_h) * spec.out_w(in_w);
-    workspace& ws = workspace::local();
-    // Each block replays the serial layer backward with batch = per_group,
-    // so chunk splits — and with them the dW/db accumulation order — match
-    // the serial chip path chunk for chunk.
-    for (std::size_t g = 0; g < groups; ++g) {
-        conv2d_backward_block(input.raw() + g * per_group * image_elems, per_group, in_h,
-                              in_w, weights[g]->raw(),
-                              grad_output.raw() + g * per_group * grad_elems, spec,
-                              grad_input.raw() + g * per_group * image_elems,
-                              grad_weights[g]->raw(), grad_biases[g]->raw(),
-                              rows, ws);
-    }
 }
 
 conv2d_grads conv2d_backward(const tensor& input, const tensor& weight,

@@ -15,12 +15,12 @@
 //
 // Structural-zero taps: a patch row whose kernel tap is out of bounds for
 // EVERY output position (8 of the 9 rows per channel of a 3x3 conv on a
-// 1x1-spatial input) lowers to exact zeros. Every conv entry point, serial
-// and grouped, skips those rows (conv_active_patch_rows), and the skip is
-// byte-identical to the full lowering for every input: the forward lowers
-// all rows when a weight is Inf/NaN (which would have poisoned the zeros),
-// the backward when the upstream gradient is, and the dW of a skipped
-// column is reproduced exactly (see conv2d_backward_acc).
+// 1x1-spatial input) lowers to exact zeros. The forward and backward both
+// skip those rows (conv_active_patch_rows), and the skip is byte-identical
+// to the full lowering for every input: the forward lowers all rows when
+// its weight holds an Inf/NaN (which would have poisoned the zeros), the
+// backward when the upstream gradient does, and the dW of a skipped column
+// is reproduced exactly (see conv2d_backward_acc).
 //
 // Intra-op parallelism: when the process-wide budget (set_intra_op_threads
 // / --gemm-threads) exceeds 1, large lowering/scatter loops fan out over
@@ -87,24 +87,16 @@ std::size_t set_conv_lowering_budget_bytes(std::size_t bytes);
 /// Current lowering budget in bytes.
 std::size_t conv_lowering_budget_bytes();
 
-/// conv2d forward over a batch — the one-variant case of
-/// conv2d_forward_grouped_vb.
-/// input  [N, C, H, W], weight [out_c, in_c, kh, kw], bias [out_c] (optional,
-/// pass empty tensor to skip) → output [N, out_c, oh, ow].
+/// conv2d forward over a batch: lowers only the live patch rows (all rows
+/// when `weight` holds an Inf or NaN) and runs one k-subset gemm_nn per
+/// chunk. input [N, C, H, W], weight [out_c, in_c, kh, kw], bias [out_c]
+/// (optional, pass empty tensor to skip) → output [N, out_c, oh, ow].
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
                       const conv2d_spec& spec);
 
-// ---- grouped conv forward (multi-mask evaluation) ---------------------------
-//
-// The batched fleet evaluator runs K fault-masked weight variants through
-// the same conv geometry in one lowering pass. Both entry points return a
-// variant-stacked [G*N, out_c, oh, ow] tensor (variant g owns image rows
-// [g*N, (g+1)*N)), each block bit-identical to conv2d_forward with that
-// variant's weight, Inf/NaN weights included.
-
 /// Patch rows of the lowered matrix with at least one in-bounds tap —
 /// ascending; equals the full [0, patch_size) range when no tap is padded
-/// out everywhere. Pure geometry (shapes only), so chunking/grouping stays
+/// out everywhere. Pure geometry (shapes only), so chunking stays
 /// deterministic. Every conv entry point lowers only these rows.
 std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
                                                 std::size_t in_w);
@@ -115,36 +107,6 @@ void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
                        std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
                        std::size_t nrows, float* dst);
 
-/// "Apply K weight variants × one input batch": lowers `input` [N,C,H,W]
-/// once and multiplies every weights[g] ([out_c,in_c,kh,kw]) against the
-/// shared packed patch panels.
-tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec);
-
-/// Grouped conv forward over an already variant-stacked batch
-/// [G*N, C, H, W]: image block g is convolved with weights[g]; lowering,
-/// output scatter, and bias run once over the stacked batch. The
-/// shared-bias case of conv2d_forward_grouped_vb.
-tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
-                              const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec);
-
-// ---- grouped conv training drivers (grouped_fat_trainer) --------------------
-//
-// The grouped TRAINING loop advances K divergent variants in lockstep, so
-// unlike the evaluation drivers above both the weights AND the biases differ
-// per variant, and the backward pass must write per-variant parameter
-// gradients.
-
-/// Training-mode grouped conv forward over a variant-stacked batch
-/// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g]
-/// (an empty bias skips the add), bit-identical per block to
-/// conv2d_forward with that variant's parameters.
-tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
-                                 const std::vector<const tensor*>& weights,
-                                 const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec);
-
 /// Row-subset adjoint: like col2im_batch but `columns` is the compact
 /// [nrows, batch*oh*ow] matrix holding only the listed patch rows
 /// (strictly ascending). Skipped rows are the all-padding taps, whose
@@ -154,19 +116,6 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
 void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h,
                        std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
                        std::size_t nrows, float* dst);
-
-/// Grouped conv backward over variant-stacked tensors: input/grad_output
-/// are [G*N, ...] with block g belonging to variant g; grad_weights[g]/
-/// grad_biases[g] receive block g's parameter gradients. Each block runs
-/// the exact serial conv2d_backward_acc chunk sequence (batch = N), so
-/// per-variant results are byte-identical to the layer path at any
-/// --gemm-threads. Every gradient accumulates onto what it holds.
-void conv2d_backward_grouped(const tensor& input, std::size_t groups,
-                             const std::vector<const tensor*>& weights,
-                             const tensor& grad_output, const conv2d_spec& spec,
-                             tensor& grad_input,
-                             const std::vector<tensor*>& grad_weights,
-                             const std::vector<tensor*>& grad_biases);
 
 /// Gradients of conv2d.
 struct conv2d_grads {

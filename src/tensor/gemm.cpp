@@ -54,15 +54,14 @@ void pack_a(const float* a, std::size_t rs, std::size_t cs, std::size_t mc, std:
 }
 
 /// Packs an mc x kc block of A whose kc source columns are listed in `cols`
-/// (absolute column indices of the row-major operand) — the k-subset form
-/// of pack_a used by the grouped drivers. `a` points at the block's first
-/// row; `rs` is the row stride.
-void pack_a_cols(const float* a, std::size_t rs, const std::size_t* cols, std::size_t mc,
-                 std::size_t kc, float* dst) {
+/// (absolute column indices) — the k-subset form of pack_a. `a` points at
+/// the block's first row; `rs`/`cs` are the row/column strides.
+void pack_a_cols(const float* a, std::size_t rs, std::size_t cs, const std::size_t* cols,
+                 std::size_t mc, std::size_t kc, float* dst) {
     for (std::size_t ir = 0; ir < mc; ir += MR) {
         const std::size_t mr = std::min(MR, mc - ir);
         for (std::size_t p = 0; p < kc; ++p) {
-            const std::size_t col = cols[p];
+            const std::size_t col = cols[p] * cs;
             for (std::size_t i = 0; i < mr; ++i) { dst[i] = a[(ir + i) * rs + col]; }
             for (std::size_t i = mr; i < MR; ++i) { dst[i] = 0.0f; }
             dst += MR;
@@ -231,27 +230,51 @@ void gemm_tile(std::size_t kc, const float* astrip, const float* bstrip, float* 
 /// operations and their order are EXACTLY the full serial call's: KC panels
 /// ascending, p ascending within a panel — the never-split-K rule that
 /// makes any tiling of the macro grid bit-identical.
+///
+/// With a `subset`, B's row index p is COMPACT (row p stands for original
+/// row subset->rows[p]) and A's columns are gathered through the same list.
+/// KC panel boundaries still follow the original k, so every output
+/// element's chain is the full-k chain with the missing rows' exact-zero
+/// products removed (bit-identical for finite A — see gemm_k_subset). A
+/// panel with no listed row contributes exact +0 and is skipped; the first
+/// NON-EMPTY panel then overwrites, as the skipped panels would only have
+/// stored +0 sums for later panels to add onto.
 void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float* a,
                         std::size_t ars, std::size_t acs, const float* b, std::size_t brs,
                         std::size_t bcs, float* c, std::size_t ldc, bool accumulate,
-                        std::size_t jb0, std::size_t jb1, std::size_t ib0, std::size_t ib1,
-                        workspace& ws) {
+                        const gemm_k_subset* subset, std::size_t jb0, std::size_t jb1,
+                        std::size_t ib0, std::size_t ib1, workspace& ws) {
     workspace::buffer apack = ws.acquire(MC * KC);
     workspace::buffer bpack = ws.acquire(KC * NC);
+    const std::size_t* krows = subset == nullptr ? nullptr : subset->rows;
+    const std::size_t kcount = subset == nullptr ? k : subset->count;
 
     for (std::size_t jb = jb0; jb < jb1; ++jb) {
         const std::size_t jc = jb * NC;
         const std::size_t nc = std::min(NC, n - jc);
+        bool first_panel = true;
+        std::size_t p0 = 0;  // B row where the current panel starts (== pc without a subset)
         for (std::size_t pc = 0; pc < k; pc += KC) {
-            const std::size_t kc = std::min(KC, k - pc);
+            std::size_t p1 = std::min(k, pc + KC);
+            if (krows != nullptr) {
+                p1 = p0;
+                while (p1 < kcount && krows[p1] < pc + KC) { ++p1; }
+            }
+            const std::size_t kc = p1 - p0;
+            if (kc == 0) { continue; }
             // KC panels accumulate in ascending pc order into C — a fixed
             // total order per output element, independent of inputs.
-            const bool overwrite = !accumulate && pc == 0;
-            pack_b(b + pc * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
+            const bool overwrite = !accumulate && first_panel;
+            first_panel = false;
+            pack_b(b + p0 * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
             for (std::size_t ib = ib0; ib < ib1; ++ib) {
                 const std::size_t ic = ib * MC;
                 const std::size_t mc = std::min(MC, m - ic);
-                pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
+                if (krows == nullptr) {
+                    pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
+                } else {
+                    pack_a_cols(a + ic * ars, ars, acs, krows + p0, mc, kc, apack.data());
+                }
                 for (std::size_t jr = 0; jr < nc; jr += NR) {
                     const std::size_t nr = std::min(NR, nc - jr);
                     const float* bstrip = bpack.data() + (jr / NR) * kc * NR;
@@ -263,25 +286,29 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
                     }
                 }
             }
+            p0 = p1;
         }
     }
 }
 
-/// Shared driver: C[m,n] (+)= A · B with the strides of gemm_strided_tiles.
-/// Large products fan the macro-tile grid out over the intra-op pool
-/// (parallel_for), partitioned along whichever of the N/M axes has more
-/// macro-tiles; K is NEVER split, each C element is written by exactly one
-/// thread, and every thread runs the serial schedule on its sub-grid — so
-/// results are bit-identical at any intra-op budget. N-major partitions
-/// (the common big-activation shapes) pack each B panel once per owning
-/// thread, exactly as often as the serial loop; the rare M-major fallback
-/// (tall-skinny C) repacks the small B panels per thread. Pool workers draw
-/// packing scratch from their own thread-local arenas.
+/// Shared driver: C[m,n] (+)= A · B with the strides (and optional k
+/// subset) of gemm_strided_tiles. Large products fan the macro-tile grid
+/// out over the intra-op pool (parallel_for), partitioned along whichever
+/// of the N/M axes has more macro-tiles; K is NEVER split, each C element
+/// is written by exactly one thread, and every thread runs the serial
+/// schedule on its sub-grid — so results are bit-identical at any intra-op
+/// budget. N-major partitions (the common big-activation shapes) pack each
+/// B panel once per owning thread, exactly as often as the serial loop; the
+/// rare M-major fallback (tall-skinny C) repacks the small B panels per
+/// thread. Pool workers draw packing scratch from their own thread-local
+/// arenas.
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
                   std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
-                  std::size_t ldc, bool accumulate, workspace& ws) {
+                  std::size_t ldc, bool accumulate, workspace& ws,
+                  const gemm_k_subset* subset = nullptr) {
     if (m == 0 || n == 0) { return; }
-    if (k == 0) {
+    const std::size_t kcount = subset == nullptr ? k : subset->count;
+    if (kcount == 0) {
         if (!accumulate) {
             for (std::size_t i = 0; i < m; ++i) {
                 std::memset(c + i * ldc, 0, n * sizeof(float));
@@ -293,136 +320,30 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
     const std::size_t jblocks = (n + NC - 1) / NC;
     const std::size_t iblocks = (m + MC - 1) / MC;
     const double madds =
-        static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k);
+        static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(kcount);
     const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) &&
                          (jblocks > 1 || iblocks > 1);
     if (!fan_out) {
-        gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0, jblocks,
-                           0, iblocks, ws);
+        gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, subset, 0,
+                           jblocks, 0, iblocks, ws);
         return;
     }
     if (jblocks >= iblocks) {
         parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, jb0,
-                               jb1, 0, iblocks, workspace::local());
+            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, subset,
+                               jb0, jb1, 0, iblocks, workspace::local());
         });
     } else {
         parallel_for(iblocks, [&](std::size_t ib0, std::size_t ib1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0,
-                               jblocks, ib0, ib1, workspace::local());
+            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, subset,
+                               0, jblocks, ib0, ib1, workspace::local());
         });
     }
 }
 
-/// Grouped core: for g in [0, count), C_g (+)= A_g · B, where every A_g is
-/// row-major [m, k_orig] (row stride `lda`) and B element (p, j) — over the
-/// COMPACT row index p — sits at b[p*ldb + j]. When `krows` is non-null
-/// it lists the original-k index of each compact row (ascending); KC panel
-/// boundaries follow the ORIGINAL k, so every output element's accumulation
-/// chain is the full-k serial chain with the missing rows' exact-zero
-/// products removed (bit-identical for finite A — see gemm_k_subset). Each
-/// B panel is packed once and reused across all A operands; per-variant
-/// loop order (jc, pc, ic, jr, ir) matches gemm_strided exactly.
-/// Serial core of the grouped driver over NC panel columns [jb0, jb1) —
-/// the unit the parallel dispatcher partitions (a thread owns whole panel
-/// columns, so each B panel is still packed exactly once and shared across
-/// every A operand and M block of its column).
-void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
-                              const std::size_t* krows, std::size_t k_compact,
-                              const float* const* a_list, std::size_t count, std::size_t lda,
-                              const float* b, std::size_t ldb, float* const* c_list,
-                              std::size_t ldc, bool accumulate, std::size_t jb0,
-                              std::size_t jb1, workspace& ws) {
-    workspace::buffer apack = ws.acquire(MC * KC);
-    workspace::buffer bpack = ws.acquire(KC * NC);
-
-    for (std::size_t jb = jb0; jb < jb1; ++jb) {
-        const std::size_t jc = jb * NC;
-        const std::size_t nc = std::min(NC, n - jc);
-        bool first_panel = true;
-        std::size_t c0 = 0;  // compact row where the current panel starts
-        for (std::size_t pc = 0; pc < k_orig; pc += KC) {
-            std::size_t c1;
-            if (krows == nullptr) {
-                c1 = std::min(k_orig, pc + KC);  // c0 == pc without a subset
-            } else {
-                c1 = c0;
-                while (c1 < k_compact && krows[c1] < pc + KC) { ++c1; }
-            }
-            const std::size_t kc = c1 - c0;
-            if (kc == 0) { continue; }  // an all-zero panel contributes exact +0
-            // The first NON-EMPTY panel overwrites: preceding all-zero
-            // panels would only have stored +0 sums that later panels
-            // accumulate onto.
-            const bool overwrite = !accumulate && first_panel;
-            first_panel = false;
-            pack_b(b + c0 * ldb + jc, ldb, 1, kc, nc, bpack.data());
-            for (std::size_t g = 0; g < count; ++g) {
-                const float* a = a_list[g];
-                float* c = c_list[g];
-                for (std::size_t ic = 0; ic < m; ic += MC) {
-                    const std::size_t mc = std::min(MC, m - ic);
-                    if (krows == nullptr) {
-                        pack_a(a + ic * lda + pc, lda, 1, mc, kc, apack.data());
-                    } else {
-                        pack_a_cols(a + ic * lda, lda, krows + c0, mc, kc, apack.data());
-                    }
-                    for (std::size_t jr = 0; jr < nc; jr += NR) {
-                        const std::size_t nr = std::min(NR, nc - jr);
-                        const float* bstrip = bpack.data() + (jr / NR) * kc * NR;
-                        for (std::size_t ir = 0; ir < mc; ir += MR) {
-                            const std::size_t mr = std::min(MR, mc - ir);
-                            const float* astrip = apack.data() + (ir / MR) * kc * MR;
-                            gemm_tile(kc, astrip, bstrip, c + (ic + ir) * ldc + jc + jr, ldc,
-                                      mr, nr, overwrite);
-                        }
-                    }
-                }
-            }
-            c0 = c1;
-        }
-    }
-}
-
-/// Grouped dispatcher: fans panel columns out over the intra-op pool for
-/// large products (N-major only — the grouped shapes are wide lowered
-/// activations). Same determinism argument as gemm_strided: each C element
-/// is written by one thread running the exact serial schedule.
-void gemm_strided_multi(std::size_t m, std::size_t n, std::size_t k_orig,
-                        const std::size_t* krows, std::size_t k_compact,
-                        const float* const* a_list, std::size_t count, std::size_t lda,
-                        const float* b, std::size_t ldb, float* const* c_list,
-                        std::size_t ldc, bool accumulate, workspace& ws) {
-    if (m == 0 || n == 0 || count == 0) { return; }
-    if (k_compact == 0) {
-        if (!accumulate) {
-            for (std::size_t g = 0; g < count; ++g) {
-                for (std::size_t i = 0; i < m; ++i) {
-                    std::memset(c_list[g] + i * ldc, 0, n * sizeof(float));
-                }
-            }
-        }
-        return;
-    }
-
-    const std::size_t jblocks = (n + NC - 1) / NC;
-    const double madds = static_cast<double>(m) * static_cast<double>(n) *
-                         static_cast<double>(k_compact) * static_cast<double>(count);
-    const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) && jblocks > 1;
-    if (!fan_out) {
-        gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, 0, jblocks, ws);
-        return;
-    }
-    parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
-        gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, jb0, jb1, workspace::local());
-    });
-}
-
-/// Validates a k subset (ascending, in range) and returns the compact count.
-std::size_t check_subset(const gemm_k_subset* subset, std::size_t k) {
-    if (subset == nullptr) { return k; }
+/// Validates a k subset (ascending, in range).
+void check_subset(const gemm_k_subset* subset, std::size_t k) {
+    if (subset == nullptr) { return; }
     REDUCE_CHECK(subset->original_k == k,
                  "gemm k-subset original_k " << subset->original_k
                                              << " does not match the call's k " << k);
@@ -434,15 +355,15 @@ std::size_t check_subset(const gemm_k_subset* subset, std::size_t k) {
         REDUCE_CHECK(j == 0 || subset->rows[j - 1] < subset->rows[j],
                      "gemm k-subset rows must be strictly ascending");
     }
-    return subset->count;
 }
 
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws) {
-    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
+             workspace& ws, const gemm_k_subset* subset) {
+    check_subset(subset, k);
+    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws, subset);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
@@ -457,15 +378,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::s
              workspace& ws) {
     // A stored [k, m] row-major: element (i, p) = a[p * lda + i].
     gemm_strided(m, n, k, a, 1, lda, b, ldb, 1, c, ldc, accumulate, ws);
-}
-
-void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
-                   std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
-                   float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,
-                   const gemm_k_subset* subset) {
-    const std::size_t compact = check_subset(subset, k);
-    gemm_strided_multi(m, n, k, subset == nullptr ? nullptr : subset->rows, compact, a_list,
-                       count, lda, b, ldb, c_list, ldc, accumulate, ws);
 }
 
 }  // namespace reduce

@@ -2,10 +2,11 @@
 // grouped_chip_tuner must reproduce chip_tuner::tune BIT FOR BIT — outcomes,
 // trajectories (pinned through the oracle accounting), and captured
 // deployable snapshots — at every group size and every --gemm-threads, over
-// MLP, VGG (structural-zero conv skips in BOTH directions), and
-// batch-norm/dropout models. Also pins the loud-downgrade contract: chips
-// that cannot group (mismatched allocations, non-finite divergence) fall
-// back to the serial path with counters, never silently.
+// MLP, VGG (structural-zero conv skips in BOTH directions),
+// batch-norm/dropout, and nested-container models. Also pins the
+// loud-downgrade contract: chips that cannot group (mismatched allocations,
+// non-finite divergence) fall back to the serial path with counters, never
+// silently.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,10 +18,8 @@
 #include "core/workload.h"
 #include "data/synthetic.h"
 #include "fault/chip.h"
-#include "nn/grouped.h"
 #include "nn/models.h"
 #include "nn/norm.h"
-#include "tensor/init.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -60,9 +59,8 @@ train_case make_mlp_case() {
     return c;
 }
 
-/// VGG11 on 8x8 inputs: the deep 1x1-spatial stages exercise the grouped
-/// conv active-row skips forward (gemm_k_subset) and backward (compact
-/// dX/dW drivers).
+/// VGG11 on 8x8 inputs: the deep 1x1-spatial stages exercise the conv
+/// active-row skips forward (gemm_k_subset) and backward (compact dX/dW).
 train_case make_vgg_case() {
     train_case c;
     synthetic_images_config data_cfg;
@@ -115,6 +113,39 @@ train_case make_stochastic_case() {
     (void)pretrainer.train(2.0);
     c.pretrained = snapshot_parameters(c.model->parameters());
     c.chips = make_case_fleet(c.array, 8, 0.05, 0.25, 7);
+    return c;
+}
+
+/// A conv and a dropout inside a nested sequential: each clone's own
+/// forward/backward and the per-chip dropout reseed must recurse into the
+/// inner container exactly as the serial tuner's do.
+train_case make_nested_case() {
+    train_case c;
+    synthetic_images_config data_cfg;
+    data_cfg.shape = {1, 6, 6};
+    data_cfg.num_classes = 3;
+    data_cfg.samples_per_class = 30;
+    const dataset full = make_synthetic_images(data_cfg);
+    dataset_split split = split_dataset(full, 0.6, 8);
+    c.train_data = std::move(split.train);
+    c.test_data = std::move(split.test);
+    rng gen(9);
+    c.model = std::make_unique<sequential>();
+    c.model->emplace<conv2d_layer>(conv2d_spec{1, 4, 3, 3, 1, 1}, gen);
+    c.model->emplace<relu_layer>();
+    auto block = std::make_unique<sequential>();
+    block->emplace<conv2d_layer>(conv2d_spec{4, 4, 3, 3, 1, 1}, gen);
+    block->emplace<relu_layer>();
+    block->emplace<dropout>(0.2, gen.next_u64());
+    block->emplace<max_pool2d_layer>(pool2d_spec{2, 2});
+    c.model->add(std::move(block));
+    c.model->emplace<flatten>();
+    c.model->emplace<linear>(4 * 3 * 3, 3, gen);
+    c.pretrained = snapshot_parameters(c.model->parameters());
+    c.array.rows = 16;
+    c.array.cols = 16;
+    c.trainer_cfg.batch_size = 16;
+    c.chips = make_case_fleet(c.array, 4, 0.05, 0.3, 23);
     return c;
 }
 
@@ -223,84 +254,6 @@ void run_matrix(train_case& c, const epoch_allocation& alloc, double constraint,
     }
 }
 
-// ---- grouped_train_net vs serial sequential ---------------------------------
-//
-// One forward+backward through the grouped walker must leave every variant
-// exactly where its own sequential::forward/backward leaves a twin clone:
-// output block, input-gradient block, and every parameter gradient, bit for
-// bit. ReLU is its own walker step, so the linear→relu and conv→relu pairs
-// run GEMM, bias pass, and relu separately on both sides.
-
-void expect_walker_matches_serial(const sequential& prototype, const shape_t& sample_shape,
-                                  std::size_t classes, std::size_t k, const char* label) {
-    const std::size_t n = 6;
-    rng gen(500 + k);
-    std::vector<std::unique_ptr<sequential>> serial;
-    std::vector<std::unique_ptr<sequential>> grouped;
-    std::vector<sequential*> grouped_ptrs;
-    for (std::size_t g = 0; g < k; ++g) {
-        // Distinct weights AND biases per variant, a random 20% zeroed.
-        serial.push_back(clone_model(prototype));
-        for (parameter* p : serial.back()->parameters()) {
-            uniform_init(p->value, -0.5f, 0.5f, gen);
-            for (std::size_t i = 0; i < p->value.numel(); ++i) {
-                if (gen.uniform() < 0.2) { p->value.raw()[i] = 0.0f; }
-            }
-        }
-        grouped.push_back(clone_model(*serial.back()));
-        grouped_ptrs.push_back(grouped.back().get());
-    }
-    shape_t stacked_shape = sample_shape;
-    stacked_shape.insert(stacked_shape.begin(), k * n);
-    tensor x(stacked_shape);
-    uniform_init(x, -1.0f, 1.0f, gen);
-    tensor grad({k * n, classes});
-    uniform_init(grad, -1.0f, 1.0f, gen);
-
-    grouped_train_net net(grouped_ptrs);
-    const tensor out = net.forward(x);
-    const tensor grad_in = net.backward(grad);
-    const std::size_t in_block = x.numel() / k;
-    const std::size_t out_block = n * classes;
-    for (std::size_t g = 0; g < k; ++g) {
-        shape_t block_shape = stacked_shape;
-        block_shape[0] = n;
-        tensor xg(block_shape);
-        std::memcpy(xg.raw(), x.raw() + g * in_block, in_block * sizeof(float));
-        tensor gg({n, classes});
-        std::memcpy(gg.raw(), grad.raw() + g * out_block, out_block * sizeof(float));
-        const tensor out_g = serial[g]->forward(xg);
-        const tensor grad_in_g = serial[g]->backward(gg);
-        EXPECT_EQ(0, std::memcmp(out_g.raw(), out.raw() + g * out_block,
-                                 out_block * sizeof(float)))
-            << label << " K=" << k << " output of variant " << g;
-        EXPECT_EQ(0, std::memcmp(grad_in_g.raw(), grad_in.raw() + g * in_block,
-                                 in_block * sizeof(float)))
-            << label << " K=" << k << " input grad of variant " << g;
-        const std::vector<parameter*> sp = serial[g]->parameters();
-        const std::vector<parameter*> gp = grouped[g]->parameters();
-        ASSERT_EQ(sp.size(), gp.size());
-        for (std::size_t i = 0; i < sp.size(); ++i) {
-            EXPECT_EQ(0, std::memcmp(sp[i]->grad.raw(), gp[i]->grad.raw(),
-                                     sp[i]->grad.numel() * sizeof(float)))
-                << label << " K=" << k << " param grad " << i << " of variant " << g;
-        }
-    }
-}
-
-TEST(GroupedTrainNet, WalkerMatchesSerialSequentialAtK1AndK8) {
-    rng gen(61);
-    const std::unique_ptr<sequential> mlp = make_mlp({12, 32, 16, 4}, gen);
-    const std::unique_ptr<sequential> cnn = make_tiny_cnn({1, 8, 8}, 3, gen, 4);
-    for (const std::size_t threads : {1u, 4u}) {
-        const scoped_intra_op_threads budget(threads);
-        for (const std::size_t k : {1u, 8u}) {
-            expect_walker_matches_serial(*mlp, {12}, 4, k, "mlp");
-            expect_walker_matches_serial(*cnn, {1, 8, 8}, 3, k, "cnn");
-        }
-    }
-}
-
 TEST(GroupedChipTuner, MlpMatchesSerialAcrossKAndGemmThreads) {
     train_case c = make_mlp_case();
     epoch_allocation alloc;
@@ -320,6 +273,18 @@ TEST(GroupedChipTuner, StochasticModelMatchesSerialAcrossKAndGemmThreads) {
     epoch_allocation alloc;
     alloc.epochs = 0.5;
     run_matrix(c, alloc, 0.6, "bn+dropout");
+}
+
+TEST(GroupedChipTuner, NestedConvDropoutModelMatchesSerial) {
+    train_case c = make_nested_case();
+    epoch_allocation alloc;
+    alloc.epochs = 0.5;
+    for (const std::size_t threads : {1u, 2u}) {
+        const scoped_intra_op_threads budget(threads);
+        for (const std::size_t k : {2u, 3u}) {
+            expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, 0.5, "nested");
+        }
+    }
 }
 
 TEST(GroupedChipTuner, OracleAllocationMatchesSerialIncludingReplay) {

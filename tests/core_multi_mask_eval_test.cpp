@@ -8,7 +8,6 @@
 // reseeding.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -274,74 +273,26 @@ TEST(MultiMaskEvaluator, FamPermutedVggGroupsMatchSerial) {
     expect_fam_group_matches_serial(c, pick_cyclic(c, 5));
 }
 
-TEST(MultiMaskEvaluator, MidTrajectoryMaskedWeightsMatchSerialSubstitution) {
-    // evaluate_masked's contract: stacked evaluation of caller-supplied
-    // masked weights equals the serial path that substitutes the SAME
-    // weights into a pretrained-restored clone. The weights here come from
-    // real partial retraining episodes, so they are genuine mid-trajectory
-    // checkpoints (value ⊙ mask after 0.25 epochs of masked SGD).
-    eval_case c = make_mlp_case();
-    const std::vector<std::size_t> pick = pick_cyclic(c, 4);
-    const std::size_t layer_count = collect_mapped_layers(*c.model).size();
-    std::vector<std::vector<tensor>> masked(layer_count);
-    for (std::vector<tensor>& variants : masked) { variants.resize(pick.size()); }
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        restore_parameters(c.model->parameters(), c.pretrained);
-        fault_state_guard guard(*c.model, c.pretrained);
-        attach_fault_masks(*c.model, c.array, c.chips[pick[g]].faults);
-        fault_aware_trainer trainer(*c.model, c.train_data, c.test_data, c.trainer_cfg);
-        (void)trainer.train(0.25);
-        const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-        for (std::size_t l = 0; l < mapped.size(); ++l) {
-            masked[l][g] = mapped[l].weight->value;
-        }
-    }
-    std::vector<double> serial(pick.size());
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        restore_parameters(c.model->parameters(), c.pretrained);
-        fault_state_guard guard(*c.model, c.pretrained);
-        const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-        for (std::size_t l = 0; l < mapped.size(); ++l) {
-            mapped[l].weight->value = masked[l][g];
-        }
-        fault_aware_trainer trainer(*c.model, c.train_data, c.test_data, c.trainer_cfg);
-        serial[g] = trainer.evaluate();
-    }
+TEST(MultiMaskEvaluator, BackToBackGroupsOnOneEvaluatorMatchSerial) {
+    // run_pass swaps each variant's masked weights into the clone and back
+    // out; a later group on the same evaluator must still start from the
+    // pretrained weights, whatever the earlier groups held.
+    eval_case c = make_vgg_case();
     multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
                                    c.trainer_cfg);
-    const std::vector<double> grouped = evaluator.evaluate_masked(masked, pick.size());
-    ASSERT_EQ(grouped.size(), pick.size());
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        EXPECT_EQ(serial[g], grouped[g]) << "checkpoint variant " << g;
+    const std::vector<std::vector<std::size_t>> groups = {{0, 1, 2}, {3}, {4, 0}, {2, 2}};
+    for (const std::vector<std::size_t>& pick : groups) {
+        std::vector<const fault_grid*> grids;
+        for (const std::size_t idx : pick) { grids.push_back(&c.chips[idx].faults); }
+        const std::vector<double> grouped = evaluator.evaluate(grids);
+        ASSERT_EQ(grouped.size(), pick.size());
+        for (std::size_t i = 0; i < pick.size(); ++i) {
+            EXPECT_EQ(serial_accuracy(*c.model, c.pretrained, c.train_data, c.test_data,
+                                      c.array, c.trainer_cfg, c.chips[pick[i]].faults),
+                      grouped[i])
+                << "chip " << pick[i];
+        }
     }
-}
-
-TEST(MultiMaskEvaluator, EvaluateMaskedRejectsUnsupportedInputsLoudly) {
-    // Unsupported grouped combinations throw (satellite: never silently
-    // wrong): stateful models, layer-count mismatches, non-finite weights.
-    eval_case stochastic = make_stochastic_case();
-    multi_mask_evaluator bn_eval(*stochastic.model, stochastic.pretrained,
-                                 stochastic.test_data, stochastic.array,
-                                 stochastic.trainer_cfg);
-    const std::vector<mapped_layer> bn_mapped = collect_mapped_layers(*stochastic.model);
-    std::vector<std::vector<tensor>> bn_masked(bn_mapped.size());
-    for (std::size_t l = 0; l < bn_mapped.size(); ++l) {
-        bn_masked[l].push_back(bn_mapped[l].weight->value);
-    }
-    EXPECT_THROW((void)bn_eval.evaluate_masked(bn_masked, 1), error);
-
-    eval_case c = make_mlp_case();
-    multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
-                                   c.trainer_cfg);
-    EXPECT_THROW((void)evaluator.evaluate_masked({}, 0), error);
-    EXPECT_THROW((void)evaluator.evaluate_masked({}, 1), error);
-    const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-    std::vector<std::vector<tensor>> masked(mapped.size());
-    for (std::size_t l = 0; l < mapped.size(); ++l) {
-        masked[l].push_back(mapped[l].weight->value);
-    }
-    masked[0][0].raw()[0] = std::numeric_limits<float>::infinity();
-    EXPECT_THROW((void)evaluator.evaluate_masked(masked, 1), error);
 }
 
 TEST(MultiMaskEvaluator, RejectsBadInputs) {

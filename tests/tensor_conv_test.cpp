@@ -496,70 +496,41 @@ TEST(ConvTapSkip, LargeShapeFansOutAndMatchesFullLowering) {
     }
 }
 
-TEST(ConvTapSkip, GroupedDriversMatchPerVariantSerialWithNonFiniteOperands) {
-    // The grouped training drivers share the skip and its guards: a variant
-    // with an Inf dead-tap weight, a NaN in one variant's dY, and pre-filled
-    // gradients (non-zero and -0) all stay byte-identical per variant.
+TEST(ConvTapSkip, PerVariantCallsMatchFullLoweringWithNonFiniteOperands) {
+    // Grouped training and evaluation run each variant through the serial
+    // conv calls, so the skip's guards must hold per call: a variant with an
+    // Inf dead-tap weight, a NaN in one variant's dY, and pre-filled
+    // gradients (non-zero and -0) all stay byte-identical to full lowering.
     const std::size_t groups = 3;
     const std::size_t per = 4;
     const conv2d_spec spec{3, 5, 3, 3, 1, 1};
     rng gen(33);
-    const tensor stacked_in = random_tensor({groups * per, 3, 1, 1}, gen);
-    tensor dy = random_tensor({groups * per, 5, 1, 1}, gen);
-    dy.raw()[per * 5 + 2] = std::numeric_limits<float>::quiet_NaN();  // variant 1
-    std::vector<tensor> weights;
-    std::vector<tensor> biases;
-    std::vector<tensor> gw;
-    std::vector<tensor> gb;
     for (std::size_t g = 0; g < groups; ++g) {
-        weights.push_back(random_tensor({5, 3, 3, 3}, gen));
-        biases.push_back(random_tensor({5}, gen));
-        gw.push_back(random_tensor({5, 3, 3, 3}, gen));
-        gw.back().raw()[g] = -0.0f;
-        gw.back().raw()[9 + g] = -0.0f;
-        gb.push_back(random_tensor({5}, gen));
-    }
-    weights[2].raw()[corner_row(spec, 1)] = std::numeric_limits<float>::infinity();
+        const tensor in = random_tensor({per, 3, 1, 1}, gen);
+        tensor dy = random_tensor({per, 5, 1, 1}, gen);
+        if (g == 1) { dy.raw()[2] = std::numeric_limits<float>::quiet_NaN(); }
+        tensor weight = random_tensor({5, 3, 3, 3}, gen);
+        if (g == 2) { weight.raw()[corner_row(spec, 1)] = std::numeric_limits<float>::infinity(); }
+        const tensor bias = random_tensor({5}, gen);
+        tensor gw_prefill = random_tensor({5, 3, 3, 3}, gen);
+        gw_prefill.raw()[g] = -0.0f;
+        gw_prefill.raw()[9 + g] = -0.0f;
+        const tensor gb_prefill = random_tensor({5}, gen);
 
-    std::vector<const tensor*> wp;
-    std::vector<const tensor*> bp;
-    for (std::size_t g = 0; g < groups; ++g) {
-        wp.push_back(&weights[g]);
-        bp.push_back(&biases[g]);
-    }
-    const tensor fwd = conv2d_forward_grouped_vb(stacked_in, groups, wp, bp, spec);
-    std::vector<tensor> gw_grouped = gw;
-    std::vector<tensor> gb_grouped = gb;
-    tensor gin_grouped(stacked_in.shape());
-    std::vector<tensor*> gwp;
-    std::vector<tensor*> gbp;
-    for (std::size_t g = 0; g < groups; ++g) {
-        gwp.push_back(&gw_grouped[g]);
-        gbp.push_back(&gb_grouped[g]);
-    }
-    conv2d_backward_grouped(stacked_in, groups, wp, dy, spec, gin_grouped, gwp, gbp);
-
-    const std::size_t in_block = per * 3;
-    const std::size_t out_block = per * 5;
-    for (std::size_t g = 0; g < groups; ++g) {
-        tensor in_g({per, 3, 1, 1});
-        tensor dy_g({per, 5, 1, 1});
-        std::memcpy(in_g.raw(), stacked_in.raw() + g * in_block, in_block * sizeof(float));
-        std::memcpy(dy_g.raw(), dy.raw() + g * out_block, out_block * sizeof(float));
-        const tensor fwd_g = full_forward_ref(in_g, weights[g], biases[g], spec);
-        EXPECT_EQ(std::memcmp(fwd.raw() + g * out_block, fwd_g.raw(), out_block * sizeof(float)),
-                  0)
+        EXPECT_TRUE(same_bytes(conv2d_forward(in, weight, bias, spec),
+                               full_forward_ref(in, weight, bias, spec)))
             << "forward variant " << g;
-        tensor gin_g(in_g.shape());
-        tensor gw_g = gw[g];
-        tensor gb_g = gb[g];
-        full_backward_ref(in_g, weights[g], dy_g, spec, gin_g, gw_g, gb_g);
-        EXPECT_EQ(std::memcmp(gin_grouped.raw() + g * in_block, gin_g.raw(),
-                              in_block * sizeof(float)),
-                  0)
-            << "dX variant " << g;
-        EXPECT_TRUE(same_bytes(gw_grouped[g], gw_g)) << "dW variant " << g;
-        EXPECT_TRUE(same_bytes(gb_grouped[g], gb_g)) << "db variant " << g;
+        tensor gin(in.shape());
+        tensor gw = gw_prefill;
+        tensor gb = gb_prefill;
+        conv2d_backward_acc(in, weight, dy, spec, gin, gw, gb);
+        tensor rin(in.shape());
+        tensor rw = gw_prefill;
+        tensor rb = gb_prefill;
+        full_backward_ref(in, weight, dy, spec, rin, rw, rb);
+        EXPECT_TRUE(same_bytes(gin, rin)) << "dX variant " << g;
+        EXPECT_TRUE(same_bytes(gw, rw)) << "dW variant " << g;
+        EXPECT_TRUE(same_bytes(gb, rb)) << "db variant " << g;
     }
 }
 

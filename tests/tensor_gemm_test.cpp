@@ -328,7 +328,7 @@ TEST(BatchConv, BackwardDeterministicAcrossCalls) {
     EXPECT_TRUE(first.grad_bias == second.grad_bias);
 }
 
-// ---- grouped (multi-A, shared-B) drivers: the masked-group eval path -------
+// ---- k-subset gemm_nn: the conv forward's structural-zero skip -------------
 
 /// Applies a {0,1} mask to a weight the way parameter::apply_mask does
 /// (float multiply, so -0/NaN semantics match the serial FAP path).
@@ -340,41 +340,7 @@ tensor masked_copy(const tensor& w, rng& gen, double drop_p) {
     return m;
 }
 
-TEST(GroupedGemm, NnMultiMatchesSerialBitwiseAndReferenceAcrossK) {
-    rng gen(301);
-    // Tile-edge group sizes around the micro/cache tiles, plus K=1, over a
-    // k spanning two KC panels.
-    for (const std::size_t groups : {1u, 2u, 3u, 5u, 16u, 17u}) {
-        const std::size_t m = 13, k = 300, n = 37;
-        const tensor b = random_tensor({k, n}, gen);  // shared B operand
-        std::vector<tensor> weights;
-        std::vector<const float*> a_list;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({m, k}, gen), gen, 0.2));
-        }
-        for (const tensor& w : weights) { a_list.push_back(w.raw()); }
-        std::vector<tensor> outs(groups, tensor({m, n}));
-        std::vector<float*> c_list;
-        for (tensor& c : outs) { c_list.push_back(c.raw()); }
-        gemm_nn_multi(m, n, k, a_list.data(), groups, k, b.raw(), n, c_list.data(), n,
-                      /*accumulate=*/false, workspace::local());
-        for (std::size_t g = 0; g < groups; ++g) {
-            // Bitwise vs the serial driver...
-            tensor serial({m, n});
-            gemm_nn(m, n, k, weights[g].raw(), k, b.raw(), n, serial.raw(), n, false,
-                    workspace::local());
-            EXPECT_TRUE(outs[g] == serial) << "K=" << groups << " g=" << g;
-            // ...and near the double-precision reference.
-            const tensor ref = reference_gemm("nn", weights[g], b, m, k, n);
-            for (std::size_t i = 0; i < ref.numel(); ++i) {
-                ASSERT_NEAR(outs[g].raw()[i], ref.raw()[i], tol_for(k))
-                    << "K=" << groups << " g=" << g << " i=" << i;
-            }
-        }
-    }
-}
-
-TEST(GroupedGemm, KSubsetEqualsFullGemmWithZeroRows) {
+TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     // The structural-zero skip: a compact B missing rows that are exactly
     // zero must reproduce the full-k result bit for bit, with kept rows
     // spread across several KC panels (k = 600 spans three).
@@ -397,183 +363,91 @@ TEST(GroupedGemm, KSubsetEqualsFullGemmWithZeroRows) {
     tensor full({m, n});
     gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, false, workspace::local());
 
-    gemm_k_subset subset;
-    subset.rows = kept.data();
-    subset.count = kept.size();
-    subset.original_k = k;
-    const float* a_ptr = a.raw();
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
     tensor skipped({m, n});
-    float* c_ptr = skipped.raw();
-    gemm_nn_multi(m, n, k, &a_ptr, 1, k, b_compact.raw(), n, &c_ptr, n, false,
-                  workspace::local(), &subset);
+    gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, false,
+            workspace::local(), &subset);
     EXPECT_TRUE(full == skipped);
 }
 
-TEST(GroupedGemm, KSubsetValidates) {
+TEST(KSubsetGemm, Validates) {
     const std::size_t rows_bad[] = {3, 2};   // not ascending
     const std::size_t rows_oob[] = {3, 99};  // out of range
     const tensor a({4, 8});
     const tensor b({2, 4});
     tensor c({4, 4});
-    const float* a_ptr = a.raw();
-    float* c_ptr = c.raw();
-    gemm_k_subset subset;
-    subset.count = 2;
-    subset.original_k = 8;
-    subset.rows = rows_bad;
-    EXPECT_ANY_THROW(gemm_nn_multi(4, 4, 8, &a_ptr, 1, 8, b.raw(), 4, &c_ptr, 4, false,
-                                   workspace::local(), &subset));
+    gemm_k_subset subset{rows_bad, 2, 8};
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
     subset.rows = rows_oob;
-    EXPECT_ANY_THROW(gemm_nn_multi(4, 4, 8, &a_ptr, 1, 8, b.raw(), 4, &c_ptr, 4, false,
-                                   workspace::local(), &subset));
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
+    const std::size_t rows_ok[] = {2, 3};
+    subset = {rows_ok, 2, 9};  // original_k disagrees with the call's k
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
 }
 
-TEST(GroupedGemm, PropagatesNanAndInfThroughMaskedOperands) {
-    // The full-k multi driver makes no data-dependent shortcut: a NaN/Inf
-    // in ANY variant's masked A operand must reach that variant's output —
-    // and only that variant's.
+TEST(KSubsetGemm, PropagatesNanAndInfThroughMaskedOperands) {
+    // gemm_nn makes no data-dependent shortcut, with or without a subset: a
+    // NaN/Inf in a lowered column of a masked A operand must reach that
+    // product's output — and a clean operand's output stays finite.
     rng gen(304);
     const std::size_t m = 8, k = 32, n = 16;
-    const tensor b = random_tensor({k, n}, gen);
-    tensor w0 = masked_copy(random_tensor({m, k}, gen), gen, 0.2);
+    std::vector<std::size_t> kept;  // every other row of B is a structural zero
+    for (std::size_t p = 0; p < k; p += 2) { kept.push_back(p); }
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
+    const tensor b_full = random_tensor({k, n}, gen);
+    const tensor b_compact = random_tensor({kept.size(), n}, gen);
+    const tensor w0 = masked_copy(random_tensor({m, k}, gen), gen, 0.2);
     tensor w1 = w0;
     tensor w2 = w0;
-    w1.raw()[5] = std::numeric_limits<float>::quiet_NaN();
-    w2.raw()[7] = std::numeric_limits<float>::infinity();
-    const float* a_list[] = {w0.raw(), w1.raw(), w2.raw()};
-    tensor c0({m, n}), c1({m, n}), c2({m, n});
-    float* c_list[] = {c0.raw(), c1.raw(), c2.raw()};
-    gemm_nn_multi(m, n, k, a_list, 3, k, b.raw(), n, c_list, n, false, workspace::local());
-    bool c1_nan = false;
-    for (std::size_t i = 0; i < c1.numel(); ++i) { c1_nan |= std::isnan(c1.raw()[i]); }
-    EXPECT_TRUE(c1_nan);
-    bool c2_nonfinite = false;
-    for (std::size_t i = 0; i < c2.numel(); ++i) {
-        c2_nonfinite |= !std::isfinite(c2.raw()[i]);
-    }
-    EXPECT_TRUE(c2_nonfinite);
-    for (std::size_t i = 0; i < c0.numel(); ++i) {
-        ASSERT_TRUE(std::isfinite(c0.raw()[i])) << "variant 0 polluted at " << i;
-    }
-}
-
-TEST(GroupedGemm, OpsFanoutAndGroupedMatchMatmulNtBitwise) {
-    rng gen(305);
-    const std::size_t rows = 19, in = 70, out = 11, groups = 4;
-    const tensor x = random_tensor({rows, in}, gen);
-    std::vector<tensor> weights;
-    std::vector<const tensor*> ptrs;
-    for (std::size_t g = 0; g < groups; ++g) {
-        weights.push_back(masked_copy(random_tensor({out, in}, gen), gen, 0.25));
-    }
-    for (const tensor& w : weights) { ptrs.push_back(&w); }
-
-    const tensor fanout = matmul_nt_fanout(x, ptrs);
-    ASSERT_EQ(fanout.extent(0), rows * groups);
-    // Stacked input for the grouped form: x replicated per variant.
-    tensor x_stacked({rows * groups, in});
-    for (std::size_t g = 0; g < groups; ++g) {
-        std::copy(x.raw(), x.raw() + x.numel(), x_stacked.raw() + g * x.numel());
-    }
-    const tensor grouped = matmul_nt_grouped(x_stacked, groups, ptrs);
-    for (std::size_t g = 0; g < groups; ++g) {
-        const tensor serial = matmul_nt(x, weights[g]);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t o = 0; o < out; ++o) {
-                ASSERT_EQ(serial.at2(r, o), fanout.at2(g * rows + r, o))
-                    << "fanout g=" << g;
-                ASSERT_EQ(serial.at2(r, o), grouped.at2(g * rows + r, o))
-                    << "grouped g=" << g;
-            }
+    w1.raw()[4] = std::numeric_limits<float>::quiet_NaN();       // row 0, kept column 4
+    w2.raw()[k + 6] = std::numeric_limits<float>::infinity();    // row 1, kept column 6
+    const std::array<const gemm_k_subset*, 2> subsets = {nullptr, &subset};
+    for (const gemm_k_subset* sub : subsets) {
+        const tensor& b = sub == nullptr ? b_full : b_compact;
+        const auto product = [&](const tensor& a) {
+            tensor c({m, n});
+            gemm_nn(m, n, k, a.raw(), k, b.raw(), n, c.raw(), n, false, workspace::local(),
+                    sub);
+            return c;
+        };
+        const tensor c0 = product(w0);
+        const tensor c1 = product(w1);
+        const tensor c2 = product(w2);
+        bool c1_nan = false;
+        for (std::size_t i = 0; i < c1.numel(); ++i) { c1_nan |= std::isnan(c1.raw()[i]); }
+        EXPECT_TRUE(c1_nan) << "subset=" << (sub != nullptr);
+        bool c2_nonfinite = false;
+        for (std::size_t i = 0; i < c2.numel(); ++i) {
+            c2_nonfinite |= !std::isfinite(c2.raw()[i]);
+        }
+        EXPECT_TRUE(c2_nonfinite) << "subset=" << (sub != nullptr);
+        for (std::size_t i = 0; i < c0.numel(); ++i) {
+            ASSERT_TRUE(std::isfinite(c0.raw()[i])) << "clean operand polluted at " << i;
         }
     }
 }
 
-TEST(GroupedConv, FanoutAndGroupedMatchSerialConvBitwise) {
-    rng gen(306);
-    // 1x1 spatial with 3x3 kernel + padding: 8 of 9 patch rows lower to
-    // structural zeros — the skip path — while 4x4 exercises the full path.
-    for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{{1, 1},
-                                                                              {4, 4},
-                                                                              {1, 5}}) {
-        const conv2d_spec spec{3, 6, 3, 3, 1, 1};
-        const std::size_t batch = 5, groups = 3;
-        const tensor input = random_tensor({batch, 3, h, w}, gen);
-        const tensor bias = random_tensor({6}, gen);
-        std::vector<tensor> weights;
-        std::vector<const tensor*> ptrs;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2));
-        }
-        for (const tensor& t : weights) { ptrs.push_back(&t); }
-
-        const tensor fanout = conv2d_forward_fanout(input, ptrs, bias, spec);
-        tensor stacked_in({groups * batch, 3, h, w});
-        for (std::size_t g = 0; g < groups; ++g) {
-            std::copy(input.raw(), input.raw() + input.numel(),
-                      stacked_in.raw() + g * input.numel());
-        }
-        const tensor grouped = conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec);
-        const std::size_t block = batch * 6 * spec.out_h(h) * spec.out_w(w);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const tensor serial = conv2d_forward(input, weights[g], bias, spec);
-            for (std::size_t i = 0; i < block; ++i) {
-                ASSERT_EQ(serial.raw()[i], fanout.raw()[g * block + i])
-                    << h << "x" << w << " fanout g=" << g << " i=" << i;
-                ASSERT_EQ(serial.raw()[i], grouped.raw()[g * block + i])
-                    << h << "x" << w << " grouped g=" << g << " i=" << i;
-            }
-        }
-    }
-}
-
-TEST(GroupedConv, ChunkedLoweringStaysBitwiseIdentical) {
+TEST(BatchConv, ChunkedSubsetLoweringStaysBitwiseIdentical) {
     // A 1-byte budget forces one image per lowered chunk, driving the
-    // n0 > 0 chunk offsets of conv2d_forward_fanout and the
-    // chunk-starting-mid-variant splits of conv2d_forward_grouped — with
-    // the k-subset active (1x1 spatial). Chunking must never move a bit.
+    // n0 > 0 chunk offsets with the k subset active (1x1 spatial) and
+    // inactive (4x4). Chunking must never move a bit.
     rng gen(307);
     const conv2d_spec spec{3, 6, 3, 3, 1, 1};
-    const std::size_t batch = 5, groups = 3;
     for (const auto& [h, w] :
          std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {4, 4}}) {
-        const tensor input = random_tensor({batch, 3, h, w}, gen);
+        const tensor input = random_tensor({5, 3, h, w}, gen);
         const tensor bias = random_tensor({6}, gen);
-        std::vector<tensor> weights;
-        std::vector<const tensor*> ptrs;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2));
-        }
-        for (const tensor& t : weights) { ptrs.push_back(&t); }
-        tensor stacked_in({groups * batch, 3, h, w});
-        for (std::size_t g = 0; g < groups; ++g) {
-            std::copy(input.raw(), input.raw() + input.numel(),
-                      stacked_in.raw() + g * input.numel());
-        }
-
-        const tensor fanout_whole = conv2d_forward_fanout(input, ptrs, bias, spec);
-        const tensor grouped_whole =
-            conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec);
-        {
-            budget_guard tiny(1);
-            EXPECT_TRUE(conv2d_forward_fanout(input, ptrs, bias, spec) == fanout_whole)
-                << h << "x" << w;
-            EXPECT_TRUE(conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec) ==
-                        grouped_whole)
-                << h << "x" << w;
-        }
-        const std::size_t block = batch * 6 * spec.out_h(h) * spec.out_w(w);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const tensor serial = conv2d_forward(input, weights[g], bias, spec);
-            for (std::size_t i = 0; i < block; ++i) {
-                ASSERT_EQ(serial.raw()[i], fanout_whole.raw()[g * block + i]);
-                ASSERT_EQ(serial.raw()[i], grouped_whole.raw()[g * block + i]);
-            }
-        }
+        const tensor weight = masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2);
+        const tensor whole = conv2d_forward(input, weight, bias, spec);
+        budget_guard tiny(1);
+        EXPECT_TRUE(conv2d_forward(input, weight, bias, spec) == whole) << h << "x" << w;
     }
 }
 
-TEST(GroupedConv, ActivePatchRowsGeometry) {
+TEST(BatchConv, ActivePatchRowsGeometry) {
     // 3x3 kernel, padding 1: at 1x1 spatial only the center tap survives;
     // at 4x4 every tap is live somewhere.
     const conv2d_spec spec{2, 4, 3, 3, 1, 1};
@@ -734,34 +608,32 @@ TEST(ParallelConv, ForwardBackwardAndLoweringBitwiseAcrossBudgets) {
     }
 }
 
-TEST(ParallelGemm, GroupedEvalDriversBitwiseAcrossBudgets) {
+TEST(ParallelGemm, KSubsetGemmBitwiseAcrossBudgets) {
+    // Large enough to fan out: N-major (70 x 300) and M-major (200 x 40)
+    // partitions, each with the k subset spanning three KC panels.
     rng gen(113);
-    const conv2d_spec spec{4, 8, 3, 3, 1, 1};
-    const tensor input = random_tensor({6, 4, 12, 12}, gen);
-    const tensor bias = random_tensor({8}, gen);
-    std::vector<tensor> weights;
-    std::vector<const tensor*> weight_ptrs;
-    for (int g = 0; g < 3; ++g) { weights.push_back(random_tensor({8, 4, 3, 3}, gen)); }
-    for (const tensor& w : weights) { weight_ptrs.push_back(&w); }
-    const tensor x = random_tensor({48, 256}, gen);
-    std::vector<tensor> dense;
-    std::vector<const tensor*> dense_ptrs;
-    for (int g = 0; g < 3; ++g) { dense.push_back(random_tensor({64, 256}, gen)); }
-    for (const tensor& w : dense) { dense_ptrs.push_back(&w); }
-    const tensor stacked = random_tensor({144, 256}, gen);  // [G*N, in]
-    set_intra_op_threads(1);
-    const tensor fan1 = conv2d_forward_fanout(input, weight_ptrs, bias, spec);
-    const tensor fanx1 = matmul_nt_fanout(x, dense_ptrs);
-    const tensor grouped1 = matmul_nt_grouped(stacked, 3, dense_ptrs);
-    for (const std::size_t threads : {2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(
-            bitwise_equal(fan1, conv2d_forward_fanout(input, weight_ptrs, bias, spec)))
-            << "conv fanout @" << threads;
-        EXPECT_TRUE(bitwise_equal(fanx1, matmul_nt_fanout(x, dense_ptrs)))
-            << "nt fanout @" << threads;
-        EXPECT_TRUE(bitwise_equal(grouped1, matmul_nt_grouped(stacked, 3, dense_ptrs)))
-            << "nt grouped @" << threads;
+    const std::size_t k = 600;
+    std::vector<std::size_t> kept;
+    for (std::size_t p = 0; p < k; ++p) {
+        if (p % 3 != 1) { kept.push_back(p); }
+    }
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
+    for (const auto& [m, n] :
+         std::vector<std::pair<std::size_t, std::size_t>>{{70, 300}, {200, 40}}) {
+        const tensor a = random_tensor({m, k}, gen);
+        const tensor b = random_tensor({kept.size(), n}, gen);
+        const auto product = [&] {
+            tensor c({m, n});
+            gemm_nn(m, n, k, a.raw(), k, b.raw(), n, c.raw(), n, false, workspace::local(),
+                    &subset);
+            return c;
+        };
+        set_intra_op_threads(1);
+        const tensor serial = product();
+        for (const std::size_t threads : {2u, 8u}) {
+            const scoped_intra_op_threads budget(threads);
+            EXPECT_TRUE(bitwise_equal(serial, product())) << m << "x" << n << " @" << threads;
+        }
     }
 }
 
@@ -791,53 +663,6 @@ TEST(BiasOps, MatmulNtBiasMatchesMatmulThenBiasAcrossTileEdges) {
     set_intra_op_threads(1);
     EXPECT_ANY_THROW(matmul_nt_bias(random_tensor({4, 8}, gen), random_tensor({5, 8}, gen),
                                     random_tensor({4}, gen)));
-}
-
-TEST(BiasOps, GroupedConvPerVariantBiasMatchesSerialAcrossChunkSeams) {
-    // conv2d_forward_grouped_vb scatters each variant's span with its own
-    // bias. A two-image chunk budget over five-image variant blocks makes
-    // chunks start mid-variant and straddle variant boundaries; an empty
-    // bias must skip the add exactly like conv2d_forward.
-    rng gen(241);
-    const conv2d_spec spec{3, 6, 3, 3, 1, 1};
-    const std::size_t batch = 5, groups = 3, h = 4, w = 4;
-    const tensor stacked = random_tensor({groups * batch, 3, h, w}, gen);
-    std::vector<tensor> weights;
-    std::vector<tensor> biases;
-    for (std::size_t g = 0; g < groups; ++g) {
-        weights.push_back(random_tensor({6, 3, 3, 3}, gen));
-        biases.push_back(g == 1 ? tensor() : random_tensor({6}, gen));
-    }
-    std::vector<const tensor*> weight_ptrs;
-    std::vector<const tensor*> bias_ptrs;
-    for (std::size_t g = 0; g < groups; ++g) {
-        weight_ptrs.push_back(&weights[g]);
-        bias_ptrs.push_back(&biases[g]);
-    }
-    const std::size_t image = 3 * h * w;
-    const std::size_t block = batch * 6 * h * w;
-    set_intra_op_threads(1);
-    std::vector<tensor> serial;
-    for (std::size_t g = 0; g < groups; ++g) {
-        tensor x({batch, 3, h, w});
-        std::copy(stacked.raw() + g * batch * image, stacked.raw() + (g + 1) * batch * image,
-                  x.raw());
-        serial.push_back(conv2d_forward(x, weights[g], biases[g], spec));
-    }
-    const std::size_t per_image_bytes = (spec.patch_size() + 6) * h * w * sizeof(float);
-    for (const std::size_t budget_bytes : {std::size_t{64} << 20, 2 * per_image_bytes}) {
-        budget_guard chunks(budget_bytes);
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            const scoped_intra_op_threads pool(threads);
-            const tensor grouped =
-                conv2d_forward_grouped_vb(stacked, groups, weight_ptrs, bias_ptrs, spec);
-            for (std::size_t g = 0; g < groups; ++g) {
-                EXPECT_EQ(0, std::memcmp(serial[g].raw(), grouped.raw() + g * block,
-                                         block * sizeof(float)))
-                    << "variant " << g << " budget " << budget_bytes << " @" << threads;
-            }
-        }
-    }
 }
 
 // ---- full-tile store vs edge-tile store -------------------------------------
@@ -950,39 +775,24 @@ TEST(FullTileStore, SerialDriversMatchEdgeOnlyCallsBitwise) {
     }
 }
 
-TEST(FullTileStore, GroupedDriverMatchesEdgeOnlyCallsBitwise) {
+TEST(FullTileStore, KSubsetDriverMatchesEdgeOnlyCallsBitwise) {
     rng gen(403);
-    const std::size_t m = 37, k = 600, n = 70, count = 3;
-    std::vector<tensor> weights;
-    std::vector<const float*> a_list;
-    for (std::size_t g = 0; g < count; ++g) {
-        weights.push_back(special_operand({m, k}, gen));
-        a_list.push_back(weights.back().raw());
-    }
+    const std::size_t m = 37, k = 600, n = 70;
+    const tensor a = special_operand({m, k}, gen);
     std::vector<std::size_t> kept;
     for (std::size_t p = 0; p < k; ++p) {
         if (p % 3 != 1 && p % 97 != 0) { kept.push_back(p); }
     }
-    gemm_k_subset subset;
-    subset.rows = kept.data();
-    subset.count = kept.size();
-    subset.original_k = k;
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
     const tensor b_full = special_operand({k, n}, gen);
     const tensor b_compact = special_operand({kept.size(), n}, gen);
 
-    // Runs gemm_nn_multi on rows [i0, i0+mi) x columns [j0, j0+nj) of every
-    // variant's product.
-    const auto run = [&](const gemm_k_subset* sub, std::vector<tensor>& outs, bool accumulate,
+    // Runs gemm_nn on rows [i0, i0+mi) x columns [j0, j0+nj) of the product.
+    const auto run = [&](const gemm_k_subset* sub, tensor& out, bool accumulate,
                          std::size_t i0, std::size_t mi, std::size_t j0, std::size_t nj) {
         const float* b = (sub == nullptr ? b_full : b_compact).raw();
-        std::vector<const float*> a_rows;
-        std::vector<float*> c_rows;
-        for (std::size_t g = 0; g < count; ++g) {
-            a_rows.push_back(a_list[g] + i0 * k);
-            c_rows.push_back(outs[g].raw() + i0 * n + j0);
-        }
-        gemm_nn_multi(mi, nj, k, a_rows.data(), count, k, b + j0, n, c_rows.data(), n,
-                      accumulate, workspace::local(), sub);
+        gemm_nn(mi, nj, k, a.raw() + i0 * k, k, b + j0, n, out.raw() + i0 * n + j0, n,
+                accumulate, workspace::local(), sub);
     };
     const std::array<const gemm_k_subset*, 2> subsets = {nullptr, &subset};
     for (const gemm_k_subset* sub : subsets) {
@@ -990,20 +800,17 @@ TEST(FullTileStore, GroupedDriverMatchesEdgeOnlyCallsBitwise) {
             for (const bool accumulate : {false, true}) {
                 for (const std::size_t threads : {1u, 2u, 8u}) {
                     const scoped_intra_op_threads budget(threads);
-                    std::vector<tensor> whole(count, prefill);
+                    tensor whole = prefill;
                     run(sub, whole, accumulate, 0, m, 0, n);
-                    std::vector<tensor> rows(count, prefill);
+                    tensor rows = prefill;
                     for (std::size_t i = 0; i < m; ++i) { run(sub, rows, accumulate, i, 1, 0, n); }
-                    std::vector<tensor> strips(count, prefill);
+                    tensor strips = prefill;
                     for (std::size_t j = 0; j < n; j += kStrip) {
                         run(sub, strips, accumulate, 0, m, j, std::min(kStrip, n - j));
                     }
-                    for (std::size_t g = 0; g < count; ++g) {
-                        EXPECT_TRUE(bitwise_equal(whole[g], rows[g]) &&
-                                    bitwise_equal(whole[g], strips[g]))
-                            << "variant " << g << " subset=" << (sub != nullptr)
-                            << " accumulate=" << accumulate << " @" << threads;
-                    }
+                    EXPECT_TRUE(bitwise_equal(whole, rows) && bitwise_equal(whole, strips))
+                        << "subset=" << (sub != nullptr) << " accumulate=" << accumulate
+                        << " @" << threads;
                 }
             }
         }
