@@ -21,8 +21,8 @@
 // (reduce, reduce-mean, oracle, binned, ...) and compared against the
 // fixed-epochs baseline; tuning fans out over --threads workers.
 // --eval-batch-chips groups accuracy_before evaluations,
-// --train-batch-chips groups the retraining episodes themselves into
-// lockstep groups — both byte-identical to the serial path; the run log
+// --train-batch-chips groups same-allocation retraining episodes — both
+// byte-identical to the serial path; the run log
 // reports how many chips actually grouped and why any fell back.
 
 #include <filesystem>

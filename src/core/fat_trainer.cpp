@@ -14,9 +14,8 @@ namespace reduce {
 
 namespace {
 
-/// True when every parameter value is finite — the serial twin of the
-/// grouped trainer's check_mapped_finite, run at every stop so divergence
-/// is caught at the same granularity on both paths.
+/// True when every parameter value is finite — run at every stop, so a
+/// divergence that has not yet reached the loss is still caught there.
 bool params_finite(const std::vector<parameter*>& params) {
     for (const parameter* p : params) {
         for (const float v : p->value.data()) {
@@ -226,8 +225,8 @@ fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<dou
             const batch b = loader.next_batch();
             const tensor logits = model_.forward(b.features);
             const loss_result loss = cross_entropy_loss(logits, b.labels);
-            // Loud non-finite detection, same as the grouped path: a
-            // diverged step never updates the weights.
+            // Loud non-finite detection: a diverged step never updates
+            // the weights.
             if (!std::isfinite(loss.value)) {
                 diverged = true;
                 break;

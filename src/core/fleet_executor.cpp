@@ -259,9 +259,8 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
     // worker would deep-clone a tuner model just to find the queue empty.
     const std::size_t workers =
         std::min(worker_budget, (fleet.size() + group - 1) / group);
-    // Timeline chips cannot train in lockstep — a mid-run mask swap would
-    // desynchronize the group's shared batch schedule — so a non-empty
-    // scenario downgrades the whole fleet to the serial path, loudly.
+    // Grouped tuning runs no fault timeline, so a non-empty scenario
+    // downgrades the whole fleet to the serial path, loudly.
     const bool scenario_serial = cfg_.train_batch_chips > 1 && !cfg_.scenario.empty();
     if (scenario_serial) {
         LOG_WARN << outcome.policy_name << ": fault timeline active ("
@@ -333,7 +332,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
             }
         };
 
-        // Lockstep path over the same-allocation run [s, e). Returns false
+        // Grouped path over the same-allocation run [s, e). Returns false
         // when the group hit non-finite state — the caller re-runs it
         // serially (the downgrade is logged AND counted, never silent).
         auto tune_grouped = [&](std::size_t s, std::size_t e, std::size_t begin,
@@ -417,8 +416,8 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                 }
                 if (cfg_.train_batch_chips > 1 && end - begin > 1 && !scenario_serial) {
                     // Carve the block into maximal same-allocation runs —
-                    // lockstep training shares one batch schedule, so only
-                    // chips with identical (epochs, train_to_target) group.
+                    // a group is one training plan, so only chips with
+                    // identical (epochs, train_to_target) group.
                     std::size_t s = begin;
                     while (s < end) {
                         if (failed.load(std::memory_order_relaxed)) { return; }

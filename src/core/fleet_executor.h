@@ -19,9 +19,8 @@
 // the serial path.
 //
 // Grouped training: with train_batch_chips > 1, same-allocation chips of a
-// block retrain in lockstep through grouped_chip_tuner — one shared loader
-// and checkpoint schedule, each chip's clone running its own serial
-// forward/backward per step (core/grouped_fat_trainer.h).
+// block retrain as one group through grouped_chip_tuner, which runs each
+// chip's serial chip_tuner episode in turn (core/grouped_fat_trainer.h).
 #pragma once
 
 #include <functional>
@@ -174,20 +173,20 @@ struct fleet_executor_config {
     /// toward the slowest BLOCK (not chip) — keep groups modest (~8) when
     /// per-chip training time varies widely.
     std::size_t eval_batch_chips = 1;
-    /// Chips whose RETRAINING advances in lockstep through one grouped
-    /// trainer (--train-batch-chips). 0 or 1 → serial per-chip training.
+    /// Chips retrained as one group by a grouped_chip_tuner
+    /// (--train-batch-chips). 0 or 1 → serial per-chip training.
     /// Within a claimed block, only chips with the SAME allocation (epochs
-    /// and train_to_target) share a group — lockstep training shares one
-    /// batch schedule; mismatched chips run serially and are counted in
+    /// and train_to_target) share a group — a group is one training plan;
+    /// mismatched chips run serially and are counted in
     /// fleet_run_stats::alloc_downgrades. Grouping never changes outcomes
-    /// (byte-identical contract of grouped_chip_tuner); a variant that
+    /// (byte-identical contract of grouped_chip_tuner); a chip that
     /// diverges to non-finite state makes the whole group fall back to the
     /// serial path (nonfinite_downgrades) — loudly, never silently wrong.
     std::size_t train_batch_chips = 1;
     /// Fault-event timeline applied to every chip (per-chip event contents
     /// derive from timeline_for_chip(scenario, chip.id)). Non-empty
     /// scenarios force timeline chips OFF the grouped-training path —
-    /// lockstep groups cannot swap masks mid-run — with the downgrade
+    /// grouped tuning runs no fault timeline — with the downgrade
     /// logged and counted in fleet_run_stats::scenario_downgrades. Grouped
     /// accuracy_before evaluation is unaffected (epoch-0 is pre-event).
     scenario_config scenario{};
@@ -197,7 +196,7 @@ struct fleet_executor_config {
 /// trained grouped vs serially, and why chips fell back. Downgrades are
 /// NEVER silent — they are logged when they happen and tallied here.
 struct fleet_run_stats {
-    std::size_t grouped_train_groups = 0;  ///< lockstep groups executed
+    std::size_t grouped_train_groups = 0;  ///< training groups executed
     std::size_t grouped_train_chips = 0;   ///< chips tuned inside those groups
     std::size_t serial_train_chips = 0;    ///< chips tuned by the serial path
     /// Chips that could not join a group because their allocation differs

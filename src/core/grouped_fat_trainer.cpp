@@ -1,12 +1,6 @@
 #include "core/grouped_fat_trainer.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "fault/mask_builder.h"
-#include "nn/loss.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
@@ -14,38 +8,11 @@ grouped_chip_tuner::grouped_chip_tuner(const sequential& prototype,
                                        const model_snapshot& pretrained,
                                        const dataset& train_data, const dataset& test_data,
                                        const array_config& array, fat_config trainer_cfg)
-    : prototype_(prototype),
-      pretrained_(pretrained),
-      train_data_(train_data),
-      test_data_(test_data),
-      array_(array),
-      trainer_cfg_(trainer_cfg) {
-    train_data_.validate();
-    test_data_.validate();
-    REDUCE_CHECK(trainer_cfg_.batch_size > 0, "batch size must be positive");
-    REDUCE_CHECK(trainer_cfg_.learning_rate > 0.0, "learning rate must be positive");
-}
-
-void grouped_chip_tuner::ensure_clones(std::size_t k) {
-    while (clones_.size() < k) { clones_.push_back(clone_model(prototype_)); }
-}
-
-void grouped_chip_tuner::check_mapped_finite(std::size_t k, const char* where) {
-    for (std::size_t g = 0; g < k; ++g) {
-        for (const mapped_layer& layer : collect_mapped_layers(*clones_[g])) {
-            const float* w = layer.weight->value.raw();
-            const std::size_t n = layer.weight->value.numel();
-            for (std::size_t e = 0; e < n; ++e) {
-                if (!std::isfinite(w[e])) {
-                    throw grouped_nonfinite_error(
-                        std::string("grouped retraining: variant ") + std::to_string(g) +
-                        " holds a non-finite mapped weight at " + where +
-                        " — divergence is handled by the serial trainer; retrain "
-                        "this group serially");
-                }
-            }
-        }
-    }
+    : tuner_(prototype, pretrained, train_data, test_data, array, trainer_cfg) {
+    train_data.validate();
+    test_data.validate();
+    REDUCE_CHECK(trainer_cfg.batch_size > 0, "batch size must be positive");
+    REDUCE_CHECK(trainer_cfg.learning_rate > 0.0, "learning rate must be positive");
 }
 
 std::vector<chip_outcome> grouped_chip_tuner::tune_group(
@@ -59,12 +26,9 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
                                 << effective_rates.size() << " rates");
     REDUCE_CHECK(accuracy_before.empty() || accuracy_before.size() == k,
                  "tune_group: accuracy_before must be empty or one value per chip");
-    // Lockstep training shares ONE loader and ONE checkpoint schedule, so
-    // every chip in the group must have the same training plan. The
-    // executor groups by (epochs, train_to_target); anything else reaching
-    // this point is a grouping bug — fail loudly rather than training a
-    // chip on the wrong plan (selection_failed is merely reported, it may
-    // differ).
+    // A group is one training plan: the executor groups by (epochs,
+    // train_to_target), so anything else reaching this point is a grouping
+    // bug — fail loudly (selection_failed is merely reported, it may differ).
     for (std::size_t g = 1; g < k; ++g) {
         REDUCE_CHECK(allocs[g]->epochs == allocs[0]->epochs &&
                          allocs[g]->train_to_target == allocs[0]->train_to_target,
@@ -76,159 +40,23 @@ std::vector<chip_outcome> grouped_chip_tuner::tune_group(
                                          << allocs[0]->train_to_target
                                          << ") — group only same-allocation chips");
     }
-    const epoch_allocation& alloc = *allocs[0];
 
-    ensure_clones(k);
     tuned_.clear();
     if (capture_tuned_) { tuned_.resize(k); }
-
-    // Per-chip episode setup, exactly the serial tuner's sequence: restore,
-    // reseed from the chip alone, guard, mask. Guards restore every clone
-    // (weights, masks cleared, BN statistics) on every exit path — a
-    // grouped_nonfinite_error thrown below leaves the tuner reusable.
-    std::vector<std::unique_ptr<fault_state_guard>> guards;
-    guards.reserve(k);
-    std::vector<mask_stats> stats(k);
-    std::vector<fault_aware_trainer> evaluators;
-    evaluators.reserve(k);
-    for (std::size_t g = 0; g < k; ++g) {
-        sequential& clone = *clones_[g];
-        restore_parameters(clone.parameters(), pretrained_);
-        reseed_stochastic_layers(clone, chips[g]->seed);
-        guards.push_back(std::make_unique<fault_state_guard>(clone, pretrained_));
-        stats[g] = attach_fault_masks(clone, array_, chips[g]->faults);
-        evaluators.emplace_back(clone, train_data_, test_data_, trainer_cfg_);
-    }
-    check_mapped_finite(k, "episode start");
-
+    tuner_.set_capture_tuned(capture_tuned_);
     std::vector<chip_outcome> outcomes(k);
     for (std::size_t g = 0; g < k; ++g) {
-        outcomes[g].chip_id = chips[g]->id;
-        outcomes[g].nominal_fault_rate = chips[g]->nominal_fault_rate;
-        outcomes[g].effective_fault_rate = effective_rates[g];
-        outcomes[g].masked_weight_fraction = stats[g].masked_fraction();
-        outcomes[g].epochs_allocated = alloc.epochs;
-        outcomes[g].selection_failed = allocs[g]->selection_failed;
-    }
-
-    // Epoch-0 point: injected (grouped evaluator upstream) or computed here
-    // by each clone's own evaluation.
-    std::vector<double> before = accuracy_before;
-    if (before.empty()) {
-        for (fault_aware_trainer& e : evaluators) { before.push_back(e.evaluate()); }
-    }
-    for (std::size_t g = 0; g < k; ++g) { outcomes[g].accuracy_before = before[g]; }
-
-    // Checkpoint schedule — fault_aware_trainer::train's exact rule on the
-    // group's shared budget (oracle allocations add the shared eval grid).
-    std::vector<double> checkpoints;
-    if (alloc.train_to_target && alloc.epochs > 0.0) {
-        for (const double e : make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5)) {
-            if (e > 0.0 && e < alloc.epochs - 1e-9) { checkpoints.push_back(e); }
+        outcomes[g] = tuner_.tune(*chips[g], *allocs[g], constraint, effective_rates[g],
+                                  accuracy_before.empty()
+                                      ? std::nullopt
+                                      : std::optional<double>(accuracy_before[g]));
+        if (outcomes[g].hit_nonfinite) {
+            throw grouped_nonfinite_error(
+                "grouped retraining: chip " + std::to_string(chips[g]->id) +
+                " diverged to non-finite state — the group's divergence is counted and "
+                "the group is retrained on the serial path");
         }
-        std::sort(checkpoints.begin(), checkpoints.end());
-        checkpoints.erase(std::unique(checkpoints.begin(), checkpoints.end()),
-                          checkpoints.end());
-    }
-    if (alloc.epochs > 0.0) { checkpoints.push_back(alloc.epochs); }
-
-    std::vector<std::vector<training_point>> trajectories(k);
-    for (std::size_t g = 0; g < k; ++g) { trajectories[g].push_back({0.0, before[g]}); }
-
-    // ONE loader: every variant sees the serial batch sequence. Per-variant
-    // optimizers over each clone's own parameters.
-    data_loader loader(train_data_, trainer_cfg_.batch_size, trainer_cfg_.shuffle_seed);
-    sgd::config opt_cfg;
-    opt_cfg.learning_rate = trainer_cfg_.learning_rate;
-    opt_cfg.momentum = trainer_cfg_.momentum;
-    opt_cfg.weight_decay = trainer_cfg_.weight_decay;
-    std::vector<std::unique_ptr<sgd>> opts;
-    opts.reserve(k);
-    for (std::size_t g = 0; g < k; ++g) {
-        clones_[g]->set_training(true);
-        opts.push_back(std::make_unique<sgd>(clones_[g]->parameters(), opt_cfg));
-        apply_all_masks(opts[g]->params());
-    }
-
-    std::size_t steps_done = 0;
-    for (const double checkpoint : checkpoints) {
-        const std::size_t target_steps = loader.steps_for_epochs(checkpoint);
-        while (steps_done < target_steps) {
-            const batch b = loader.next_batch();
-            // Each clone runs the serial trainer's exact step on the shared
-            // batch; only the optimizer sweep below spans variants.
-            for (std::size_t g = 0; g < k; ++g) {
-                sequential& clone = *clones_[g];
-                const loss_result loss = cross_entropy_loss(clone.forward(b.features), b.labels);
-                if (!std::isfinite(loss.value)) {
-                    throw grouped_nonfinite_error(
-                        std::string("grouped retraining: variant ") + std::to_string(g) +
-                        " (chip " + std::to_string(chips[g]->id) +
-                        ") hit a non-finite loss at step " + std::to_string(steps_done) +
-                        " — divergence is outside the grouped bit-identity "
-                        "contract; retrain this group serially");
-                }
-                opts[g]->zero_grad();
-                clone.backward(loss.grad);
-                if (trainer_cfg_.grad_clip > 0.0) {
-                    clip_grad_norm(opts[g]->params(), trainer_cfg_.grad_clip);
-                }
-            }
-            // K independent optimizer states in one sweep. Inside the
-            // parallel region each sgd's element loops gate off
-            // (should_fan_out), so the per-variant update math is the exact
-            // serial chain at any --gemm-threads.
-            if (k > 1 && intra_op_threads() > 1 && !in_intra_op_region()) {
-                parallel_for(k, [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t g = begin; g < end; ++g) { opts[g]->step(); }
-                });
-            } else {
-                for (std::size_t g = 0; g < k; ++g) { opts[g]->step(); }
-            }
-            ++steps_done;
-        }
-        // Divergence check before results are consumed: non-finite weights
-        // persist under SGD (momentum and decay keep them non-finite), so
-        // even when the loss check above lags a step the checkpoint scan
-        // catches the variant before any trajectory point is reported.
-        check_mapped_finite(k, "checkpoint");
-        for (std::size_t g = 0; g < k; ++g) {
-            trajectories[g].push_back({checkpoint, evaluators[g].evaluate()});
-        }
-    }
-    const double epochs_run =
-        static_cast<double>(steps_done) / static_cast<double>(loader.steps_per_epoch());
-
-    // Per-chip accounting, mirroring chip_tuner::tune field for field.
-    for (std::size_t g = 0; g < k; ++g) {
-        chip_outcome& out = outcomes[g];
-        const std::optional<double> epoch0(out.accuracy_before);
-        if (alloc.train_to_target && alloc.epochs > 0.0) {
-            const std::optional<double> reached =
-                epochs_to_reach(trajectories[g], constraint);
-            if (reached.has_value()) {
-                out.epochs_run = *reached;
-                out.final_accuracy = accuracy_at_epochs(trajectories[g], *reached);
-                if (capture_tuned_ && *reached < epochs_run) {
-                    // The clone holds full-budget weights; replay the exact
-                    // serial prefix to the charged checkpoint so the
-                    // captured snapshot matches the reported accuracy.
-                    restore_parameters(clones_[g]->parameters(), pretrained_);
-                    reseed_stochastic_layers(*clones_[g], chips[g]->seed);
-                    fault_aware_trainer trainer(*clones_[g], train_data_, test_data_,
-                                                trainer_cfg_);
-                    (void)trainer.train(*reached, {}, epoch0);
-                }
-            } else {
-                out.epochs_run = epochs_run;
-                out.final_accuracy = trajectories[g].back().test_accuracy;
-            }
-        } else {
-            out.epochs_run = epochs_run;
-            out.final_accuracy = trajectories[g].back().test_accuracy;
-        }
-        out.meets_constraint = out.final_accuracy >= constraint;
-        if (capture_tuned_) { tuned_[g] = snapshot_model(*clones_[g]); }
+        if (capture_tuned_) { tuned_[g] = tuner_.take_tuned(); }
     }
     return outcomes;
 }

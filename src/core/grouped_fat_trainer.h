@@ -1,37 +1,20 @@
-// Grouped retraining — K chips' FAT episodes in lockstep.
+// Grouped retraining — one same-allocation group of chips, tuned per chip.
 //
-// grouped_chip_tuner advances K fault-masked clones through the SAME
-// shuffled batch sequence in lockstep: one shared data_loader, one
-// checkpoint schedule, and one optimizer sweep over the K per-variant SGD
-// states. Each step runs every clone's own serial pass on the shared batch
-// (sequential::forward → cross_entropy_loss → zero_grad → backward → clip),
-// and each checkpoint evaluates every clone with its own
-// fault_aware_trainer::evaluate — there is no stacked batch and no second
-// forward walker, so K=1 is simply the serial episode.
+// grouped_chip_tuner is the executor's unit for a group of chips that share
+// one epoch allocation (--train-batch-chips). It tunes each chip of the
+// group in turn with chip_tuner::tune on one owned clone — the serial
+// episode itself — so every chip_outcome, trajectory, and captured snapshot
+// is byte-identical to the serial path at every group size K and every
+// --gemm-threads. The group stays a scheduling unit (claim width, the
+// same-allocation runs and their counters in fleet_run_stats); it is not a
+// second training loop.
 //
-// Determinism contract: every chip_outcome, trajectory point, and captured
-// snapshot is byte-identical to running chip_tuner::tune serially on the
-// same chip — at every group size K and every --gemm-threads. The pieces:
-//   * the loader is shared, so each variant sees the exact serial batch
-//     sequence (and BN variants see the exact serial batch statistics);
-//   * every forward, loss, and backward is the serial trainer's own call on
-//     that variant's clone;
-//   * the optimizer sweep steps each variant's own sgd — inside a parallel
-//     region its element loops gate off, so the fan-out over variants
-//     never changes a bit;
-//   * clones are reseeded per chip (mix_seed(chip.seed, layer)) and wrapped
-//     in fault_state_guard, exactly like the serial tuner.
-//
-// Non-finite divergence is the one thing the grouped path does not handle
-// itself (the serial trainer stops such a run with hit_nonfinite, and
-// rolls it back under a recover timeline), so it FAILS LOUDLY instead:
-// a non-finite per-variant loss or a non-finite mapped weight at any
-// checkpoint throws grouped_nonfinite_error, the guards restore every
-// clone, and the fleet executor re-runs the whole block serially (counted
-// in fleet_run_stats::nonfinite_downgrades).
+// Non-finite divergence keeps its loud fallback: when a chip's serial
+// episode ends hit_nonfinite, tune_group throws grouped_nonfinite_error,
+// and the fleet executor re-runs the whole group serially (counted in
+// fleet_run_stats::nonfinite_downgrades).
 #pragma once
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,23 +27,21 @@
 
 namespace reduce {
 
-/// Thrown when a grouped training episode meets non-finite state (a
-/// diverging variant), whose handling lives in the serial trainer. The
-/// thrower's clones are already restored (guards); callers fall back to
-/// the serial per-chip path.
+/// Thrown when a chip of a group diverges to non-finite state. The
+/// tuner's clone is already restored (chip_tuner's guard); callers fall
+/// back to the serial per-chip path.
 class grouped_nonfinite_error : public std::runtime_error {
 public:
     explicit grouped_nonfinite_error(const std::string& what)
         : std::runtime_error(what) {}
 };
 
-/// Lockstep retraining worker over groups of chips. Owns K lazily-grown
-/// deep clones of the prototype (K = largest group tuned so far), so
-/// concurrent tuners never share mutable state; the referenced
-/// datasets/snapshot are read-only and shared.
+/// Retraining worker over groups of chips. Owns one chip_tuner (one deep
+/// clone of the prototype), so concurrent tuners never share mutable
+/// state; the referenced datasets/snapshot are read-only and shared.
 class grouped_chip_tuner {
 public:
-    /// Clones lazily from `prototype`; all references must outlive the tuner.
+    /// Clones `prototype`; all references must outlive the tuner.
     grouped_chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                        const dataset& train_data, const dataset& test_data,
                        const array_config& array, fat_config trainer_cfg);
@@ -69,7 +50,7 @@ public:
     /// snapshots (parameters + state buffers) during tune_group.
     void set_capture_tuned(bool capture) { capture_tuned_ = capture; }
 
-    /// Tunes `chips` in lockstep. Every allocation must be IDENTICAL in
+    /// Tunes `chips` in order. Every allocation must be IDENTICAL in
     /// epochs and train_to_target (REDUCE_CHECK — the executor only groups
     /// same-allocation runs; selection_failed may differ, it is only
     /// reported). `accuracy_before` injects precomputed post-FAP accuracies
@@ -77,8 +58,8 @@ public:
     /// each chip's epoch-0 point here.
     ///
     /// Returns one chip_outcome per chip, byte-identical to serial
-    /// chip_tuner::tune. Throws grouped_nonfinite_error when a variant
-    /// diverges (see header note); the clones are restored on every exit.
+    /// chip_tuner::tune. Throws grouped_nonfinite_error when a chip
+    /// diverges (see header note); the clone is restored on every exit.
     std::vector<chip_outcome> tune_group(const std::vector<const chip*>& chips,
                                          const std::vector<const epoch_allocation*>& allocs,
                                          double constraint,
@@ -89,19 +70,8 @@ public:
     model_snapshot take_tuned(std::size_t g);
 
 private:
-    void ensure_clones(std::size_t k);
-    /// Throws grouped_nonfinite_error when any of the first `k` clones holds
-    /// a non-finite mapped weight (`where` labels the check site).
-    void check_mapped_finite(std::size_t k, const char* where);
-
-    const sequential& prototype_;
-    const model_snapshot& pretrained_;
-    const dataset& train_data_;
-    const dataset& test_data_;
-    array_config array_;
-    fat_config trainer_cfg_;
+    chip_tuner tuner_;
     bool capture_tuned_ = false;
-    std::vector<std::unique_ptr<sequential>> clones_;
     std::vector<model_snapshot> tuned_;
 };
 

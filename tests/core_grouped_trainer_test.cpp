@@ -1,4 +1,4 @@
-// Serial-vs-grouped equivalence suite for the lockstep retraining engine:
+// Serial-vs-grouped equivalence suite for the grouped retraining engine:
 // grouped_chip_tuner must reproduce chip_tuner::tune BIT FOR BIT — outcomes,
 // trajectories (pinned through the oracle accounting), and captured
 // deployable snapshots — at every group size and every --gemm-threads, over
@@ -418,7 +418,7 @@ TEST(FleetExecutor, GroupedTrainingWithGroupedEvalMatchesSerial) {
 }
 
 /// Policy whose allocation alternates per chip — no two fleet-adjacent chips
-/// can share a lockstep group.
+/// can share a training group.
 class alternating_policy : public retraining_policy {
 public:
     explicit alternating_policy(double target) : target_(target) {}

@@ -519,7 +519,7 @@ TEST_F(ScenarioFixture, ExecutorForcesTimelineChipsSerialAndMatchesTheSerialPath
     EXPECT_EQ(serial_stats.serial_train_chips, fleet.size());
     EXPECT_GE(serial_stats.timeline_events, fleet.size());  // ≥1 event per chip
 
-    // Grouped lockstep training cannot swap masks mid-run: a live scenario
+    // Grouped training runs no fault timeline: a live scenario
     // must downgrade every chip to the serial path — loudly counted — and
     // the outcomes must be byte-identical to the serial run.
     const auto [grouped, grouped_stats] = run_with(2);
